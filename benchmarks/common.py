@@ -9,6 +9,8 @@ analytical device simulator rather than real hardware.
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Callable, Dict, Iterable, Sequence
 
 # The scale knobs of the benchmark suite.  They are deliberately small enough
@@ -20,6 +22,22 @@ BENCH_FINETUNE_EPOCHS = 3
 BENCH_SCHEDULES_PER_TASK = 6
 BENCH_ZOO_MODELS = ("bert_tiny", "mobilenet_v2", "vgg16")
 BENCH_SYNTHETIC_MODELS = 6
+
+
+#: Set to ``1`` to let a benchmark rewrite its tracked ``BENCH_*.json``
+#: results file; a plain test run leaves the committed numbers alone.
+WRITE_RESULTS_ENV = "CDMPP_WRITE_BENCH_RESULTS"
+
+
+def write_results(path: str, results: Dict[str, object]) -> None:
+    """Write ``results`` to ``path`` as JSON, only when the opt-in is set."""
+    if os.environ.get(WRITE_RESULTS_ENV) != "1":
+        print(f"not writing {path} ({WRITE_RESULTS_ENV}=1 to record)")
+        return
+    with open(path, "w") as handle:
+        json.dump(results, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
 
 
 def print_table(title: str, rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> None:

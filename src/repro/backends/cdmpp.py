@@ -18,7 +18,14 @@ from repro.backends.base import CostModel, DeviceLike, TrainStats, per_program_d
 from repro.core.config import PredictorConfig, TrainingConfig
 from repro.core.trainer import Trainer, TrainingResult
 from repro.errors import TrainingError
-from repro.features.pipeline import FeatureSet, featurize_programs, featurize_records
+from repro.features.pipeline import (
+    FeatureRow,
+    FeatureSet,
+    featurize_programs,
+    featurize_records,
+    featurize_rows,
+    stack_rows,
+)
 from repro.profiler.records import MeasureRecord
 from repro.tir.program import TensorProgram
 
@@ -140,20 +147,15 @@ class CDMPPBackend(CostModel):
     # expose featurize_rows/predict_rows get that cache for free.
     def featurize_rows(
         self, programs: Sequence[TensorProgram], devices: Sequence[str]
-    ) -> List[FeatureSet]:
-        """One single-row :class:`FeatureSet` per (program, device) query."""
-        featurized = featurize_programs(
-            list(programs), list(devices), max_leaves=self.max_leaves
-        )
-        return [featurized.subset([i]) for i in range(len(programs))]
+    ) -> List[FeatureRow]:
+        """One unpadded :class:`FeatureRow` per (program, device) query."""
+        return featurize_rows(programs, devices, max_leaves=self.max_leaves)
 
     def predict_rows(
-        self, rows: Sequence[FeatureSet], chunk_size: Optional[int] = None
+        self, rows: Sequence[FeatureRow], chunk_size: Optional[int] = None
     ) -> np.ndarray:
         """Predict a batch of cached feature rows in one vectorized call."""
-        rows = list(rows)
-        batch = rows[0] if len(rows) == 1 else FeatureSet.concatenate(rows)
-        return self.trainer.predict(batch, batch_size=chunk_size)
+        return self.trainer.predict(stack_rows(rows, self.max_leaves), batch_size=chunk_size)
 
     # -- evaluation over features (facade passthrough) ------------------
     def evaluate_features(self, features: FeatureSet) -> Dict[str, float]:

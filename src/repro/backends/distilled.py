@@ -28,7 +28,14 @@ from repro.core.config import PredictorConfig, TrainingConfig
 from repro.core.distill import DistilledModel, distill
 from repro.core.metrics import error_report
 from repro.errors import TrainingError
-from repro.features.pipeline import FeatureSet, featurize_programs, featurize_records
+from repro.features.pipeline import (
+    FeatureRow,
+    FeatureSet,
+    featurize_programs,
+    featurize_records,
+    featurize_rows,
+    stack_rows,
+)
 from repro.profiler.records import MeasureRecord
 from repro.tir.program import TensorProgram
 
@@ -227,22 +234,17 @@ class DistilledBackend(CostModel):
     # -- serving fast path ---------------------------------------------
     def featurize_rows(
         self, programs: Sequence[TensorProgram], devices: Sequence[str]
-    ) -> List[FeatureSet]:
-        """One single-row :class:`FeatureSet` per (program, device) query."""
+    ) -> List[FeatureRow]:
+        """One unpadded :class:`FeatureRow` per (program, device) query."""
         model = self._require_fitted()
-        featurized = featurize_programs(
-            list(programs), list(devices), max_leaves=model.max_leaves
-        )
-        return [featurized.subset([i]) for i in range(len(programs))]
+        return featurize_rows(programs, devices, max_leaves=model.max_leaves)
 
     def predict_rows(
-        self, rows: Sequence[FeatureSet], chunk_size: Optional[int] = None
+        self, rows: Sequence[FeatureRow], chunk_size: Optional[int] = None
     ) -> np.ndarray:
         """Predict a batch of cached feature rows in one vectorized call."""
         model = self._require_fitted()
-        rows = list(rows)
-        batch = rows[0] if len(rows) == 1 else FeatureSet.concatenate(rows)
-        return model.predict(batch)
+        return model.predict(stack_rows(rows, model.max_leaves))
 
     # -- evaluation -----------------------------------------------------
     def evaluate_features(self, features: FeatureSet) -> Dict[str, float]:

@@ -113,6 +113,45 @@ class FeatureSet:
         )
 
 
+@dataclass(frozen=True)
+class FeatureRow:
+    """One featurized (program, device) query, unpadded.
+
+    The serving feature cache holds these: the real-leaf computation vectors
+    (positional encoding added) and the device features, both read-only.
+    :func:`stack_rows` pads a batch of them into a :class:`FeatureSet`.
+    """
+
+    vectors: np.ndarray  # [num_leaves, F]
+    device_features: np.ndarray  # [D]
+
+
+def _leaf_vectors(program: TensorProgram, use_positional_encoding: bool = True) -> np.ndarray:
+    ast = extract_compact_ast(program)
+    if use_positional_encoding:
+        return add_positional_encoding(ast.computation_vectors, ast.ordering_vector)
+    return ast.computation_vectors
+
+
+def _pad(
+    leaf_vectors: Sequence[np.ndarray], max_leaves: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, mask, leaf_counts)`` of unpadded leaf-vector blocks."""
+    leaf_counts = np.asarray([block.shape[0] for block in leaf_vectors], dtype=np.int64)
+    pad_to = int(max_leaves or leaf_counts.max())
+    if leaf_counts.max() > pad_to:
+        raise FeatureError(
+            f"max_leaves={pad_to} is smaller than the largest Compact AST ({leaf_counts.max()})"
+        )
+    num = len(leaf_vectors)
+    x = np.zeros((num, pad_to, COMPUTATION_VECTOR_LENGTH), dtype=np.float64)
+    mask = np.zeros((num, pad_to), dtype=np.float64)
+    for index, block in enumerate(leaf_vectors):
+        x[index, : block.shape[0]] = block
+        mask[index, : block.shape[0]] = 1.0
+    return x, mask, leaf_counts
+
+
 def _featurize(
     programs: Sequence[TensorProgram],
     devices: Sequence[Union[str, DeviceSpec]],
@@ -123,24 +162,10 @@ def _featurize(
 ) -> FeatureSet:
     if not programs:
         raise FeatureError("nothing to featurize: empty program list")
-    compact_asts = [extract_compact_ast(program) for program in programs]
-    leaf_counts = np.asarray([ast.num_leaves for ast in compact_asts], dtype=np.int64)
-    pad_to = int(max_leaves or leaf_counts.max())
-    if leaf_counts.max() > pad_to:
-        raise FeatureError(
-            f"max_leaves={pad_to} is smaller than the largest Compact AST ({leaf_counts.max()})"
-        )
-
+    x, mask, leaf_counts = _pad(
+        [_leaf_vectors(program, use_positional_encoding) for program in programs], max_leaves
+    )
     num = len(programs)
-    x = np.zeros((num, pad_to, COMPUTATION_VECTOR_LENGTH), dtype=np.float64)
-    mask = np.zeros((num, pad_to), dtype=np.float64)
-    for index, ast in enumerate(compact_asts):
-        vectors = ast.computation_vectors
-        if use_positional_encoding:
-            vectors = add_positional_encoding(vectors, ast.ordering_vector)
-        x[index, : ast.num_leaves] = vectors
-        mask[index, : ast.num_leaves] = 1.0
-
     device_feats = np.stack([device_feature_vector(device) for device in devices], axis=0)
     y = np.asarray(labels, dtype=np.float64) if labels is not None else np.zeros(num)
     device_names = [
@@ -206,4 +231,55 @@ def featurize_programs(
         models=[program.task.model for program in programs],
         use_positional_encoding=use_positional_encoding,
         max_leaves=max_leaves,
+    )
+
+
+def featurize_rows(
+    programs: Sequence[TensorProgram],
+    devices: Sequence[Union[str, DeviceSpec]],
+    max_leaves: int,
+) -> List[FeatureRow]:
+    """One :class:`FeatureRow` per (program, device) query.
+
+    Raises :class:`FeatureError` for a program with more than ``max_leaves``
+    leaves, as :func:`featurize_programs` would.  Rows of one device share
+    its device-feature array.
+    """
+    device_arrays: Dict[Union[str, DeviceSpec], np.ndarray] = {}
+    rows: List[FeatureRow] = []
+    for program, device in zip(programs, devices):
+        vectors = _leaf_vectors(program)
+        if vectors.shape[0] > max_leaves:
+            raise FeatureError(
+                f"max_leaves={max_leaves} is smaller than the largest Compact AST "
+                f"({vectors.shape[0]})"
+            )
+        device_features = device_arrays.get(device)
+        if device_features is None:
+            device_features = device_arrays[device] = device_feature_vector(device)
+            device_features.setflags(write=False)
+        vectors.setflags(write=False)
+        rows.append(FeatureRow(vectors, device_features))
+    return rows
+
+
+def stack_rows(rows: Sequence[FeatureRow], max_leaves: int) -> FeatureSet:
+    """Pad feature rows into one ``[N, max_leaves, F]`` prediction batch.
+
+    The batch is for inference only: labels are zero and the per-sample
+    metadata (task keys, models, op types, devices) is blank.
+    """
+    rows = list(rows)
+    x, mask, leaf_counts = _pad([row.vectors for row in rows], max_leaves)
+    blank = [""] * len(rows)
+    return FeatureSet(
+        x=x,
+        mask=mask,
+        leaf_counts=leaf_counts,
+        device_features=np.stack([row.device_features for row in rows], axis=0),
+        y=np.zeros(len(rows)),
+        task_keys=blank,
+        models=list(blank),
+        op_types=list(blank),
+        devices=list(blank),
     )

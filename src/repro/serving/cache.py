@@ -4,8 +4,10 @@ The dominant cost of answering a latency query is ``featurize_programs``
 (Compact-AST extraction + positional encoding), followed by the predictor
 forward pass.  The serving layer therefore caches at two levels:
 
-* a **feature cache** holding the one-row :class:`FeatureSet` of a program,
-  so a repeated query skips featurization entirely, and
+* a **feature cache** holding the compact
+  :class:`~repro.features.pipeline.FeatureRow` of a program (its real-leaf
+  vectors and device features, unpadded), so a repeated query skips
+  featurization entirely, and
 * a **prediction cache** holding the final latency in seconds, so a repeated
   query skips the predictor forward pass too.
 

@@ -50,6 +50,7 @@ class DaemonClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7077, timeout_s: float = 60.0):
         sock = socket.create_connection((host, port), timeout=timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # requests are small writes
         self._stream = MessageStream(sock)
         self._lock = threading.Lock()
         self._next_id = 0  # guarded-by: _lock

@@ -28,10 +28,13 @@ tuners actually call from many processes at once:
   answer everything already queued, then close; clients never see a
   half-written response.
 
-Answers are **bit-identical** to in-process serving: a shard worker runs the
-very same partition → batch → compose path as a direct
+Answers equal in-process serving to a relative 1e-9: a shard worker runs
+the very same partition → batch → compose path as a direct
 ``FleetService.predict_model`` call on the same model, and the JSON wire
-format round-trips doubles exactly.
+format round-trips doubles exactly.  They are not always bit-identical: a
+kernel's prediction depends on which other queries share its predictor
+batch (BLAS sums in a batch-dependent order), so some answers differ in
+the last bits.
 """
 
 from __future__ import annotations
@@ -712,6 +715,9 @@ class ServingDaemon:
                 conn, _ = listener.accept()
             except OSError:
                 break  # listener closed by stop()
+            # Answers are single small writes; without this, Nagle's algorithm
+            # can hold one until the client's delayed ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             stream = MessageStream(conn)
             with self._streams_lock:
                 self._streams.add(stream)

@@ -154,24 +154,24 @@ class MessageStream:
         Raises :class:`ProtocolError` on non-JSON input or an oversized line
         (the connection should be dropped by the caller).
         """
-        while b"\n" not in self._buffer:
-            if len(self._buffer) > _MAX_LINE_BYTES:
-                raise ProtocolError(
-                    f"wire message exceeds {_MAX_LINE_BYTES} bytes without a newline"
-                )
-            try:
-                chunk = self._sock.recv(65536)
-            except OSError:
-                return None
-            if not chunk:
-                if self._buffer.strip():
-                    raise ProtocolError("connection closed mid-message")
-                return None
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        line = line.strip()
-        if not line:
-            return self.recv()  # tolerate blank keep-alive lines
+        line = b""
+        while not line:  # skip blank keep-alive lines
+            while b"\n" not in self._buffer:
+                if len(self._buffer) > _MAX_LINE_BYTES:
+                    raise ProtocolError(
+                        f"wire message exceeds {_MAX_LINE_BYTES} bytes without a newline"
+                    )
+                try:
+                    chunk = self._sock.recv(65536)
+                except OSError:
+                    return None
+                if not chunk:
+                    if self._buffer.strip():
+                        raise ProtocolError("connection closed mid-message")
+                    return None
+                self._buffer += chunk
+            line, self._buffer = self._buffer.split(b"\n", 1)
+            line = line.strip()
         try:
             message = json.loads(line)
         except json.JSONDecodeError as error:

@@ -23,10 +23,10 @@ model all score thousands of candidates per batched inference):
   fleet evicts the swapped device's cached tunings (``cache_signature``
   alone cannot catch a fine-tuned clone with identical architecture), and
   the registry evicts by checkpoint name on re-save/delete;
-* **fleet-wide tuning** — :meth:`tune_model` partitions a model into its
-  unique tasks via :mod:`repro.graph.partition` and searches each task for
-  each requested device, exactly how an operator tunes a new network for
-  every device they own.
+* **fleet-wide tuning** — :meth:`tune_model` lists a model's unique tasks
+  (once per zoo network and batch size) and searches each task for each
+  requested device, exactly how an operator tunes a new network for every
+  device they own.
 
 Determinism contract: with the same ``seed``, tuning is bit-identical across
 runs and across warm/cold prediction caches — predictions are deterministic
@@ -38,12 +38,15 @@ ones, and each task searches under its own ``(seed, task_key)`` child stream
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.devices.spec import DeviceSpec, get_device
 from repro.errors import SearchError, ServingError
-from repro.graph.partition import extract_unique_tasks, partition_into_programs
+from repro.graph.model import ModelGraph
+from repro.graph.partition import extract_unique_tasks
+from repro.graph.zoo import build_model
 from repro.search.ansor import SearchResult, evolutionary_search
 from repro.serving.fleet import FleetService
 from repro.serving.search_cache import SearchCache
@@ -54,6 +57,19 @@ from repro.tir.task import Task
 DEFAULT_NUM_ROUNDS = 6
 DEFAULT_POPULATION = 12
 DEFAULT_MEASUREMENTS_PER_ROUND = 3
+
+#: Zoo networks whose task lists :meth:`SearchService.tune_model` keeps.
+TASK_LIST_MEMO_SIZE = 32
+
+
+def _unique_tasks_in_topo_order(graph: ModelGraph) -> Dict[str, Task]:
+    """A model's unique tasks keyed by workload key, in the order its DFG
+    lists them (first occurrence in topological order), without lowering."""
+    tasks: Dict[str, Task] = {}
+    for name in graph.topo_order():
+        task = graph.node(name).task
+        tasks.setdefault(task.workload_key, task)
+    return tasks
 
 
 @dataclass
@@ -179,6 +195,8 @@ class SearchService:
             self._model_names = {get_device(d).name: n for d, n in model_names.items()}  # guarded-by: _lock
             self._shared_name = None
         self.stats = SearchServiceStats()  # guarded-by: _lock
+        # (zoo name, batch size) -> unique tasks; zoo networks never change.
+        self._task_lists: "OrderedDict[tuple, Dict[str, Task]]" = OrderedDict()  # guarded-by: _lock
         # A swap on any device (register_device / onboard_device / raw
         # swap_model) makes that device's cached tunings stale even when the
         # new model's cache_signature matches the old one's.
@@ -188,6 +206,21 @@ class SearchService:
         self.cache.invalidate_device(device)
         with self._lock:
             self._model_names.pop(device, None)
+
+    def _zoo_tasks(self, name: str, batch_size: int) -> Dict[str, Task]:
+        """The unique tasks of a zoo network, listed once per batch size."""
+        key = (name, int(batch_size))
+        with self._lock:
+            tasks = self._task_lists.get(key)
+            if tasks is not None:
+                self._task_lists.move_to_end(key)
+                return tasks
+        tasks = _unique_tasks_in_topo_order(build_model(name, batch_size=batch_size))
+        with self._lock:
+            self._task_lists[key] = tasks
+            while len(self._task_lists) > TASK_LIST_MEMO_SIZE:
+                self._task_lists.popitem(last=False)
+        return tasks
 
     def _model_name_for(self, device: str) -> Optional[str]:
         with self._lock:
@@ -299,12 +332,13 @@ class SearchService:
         """Tune a whole model for every requested device.
 
         ``model`` is a zoo name, a :class:`~repro.graph.model.ModelGraph` or
-        a pre-partitioned :class:`~repro.graph.dfg.TIRDataFlowGraph`; it is
-        partitioned into unique tasks via :mod:`repro.graph.partition` (per
-        device taxonomy — a GPU and a CPU schedule the same model
-        differently) and each task is searched under its own independent
-        ``(seed, task_key)`` stream, matching
-        :func:`repro.search.search_model_schedules`.
+        a pre-partitioned :class:`~repro.graph.dfg.TIRDataFlowGraph`; its
+        unique tasks are listed in the order its DFG lists them and each task
+        is searched per device (schedules are sampled for the device's
+        taxonomy) under its own independent ``(seed, task_key)`` stream,
+        matching :func:`repro.search.search_model_schedules`.  A zoo
+        network's task list is kept per ``(name, batch_size)`` in a bounded
+        memo; a caller-built graph is enumerated afresh on every call.
 
         ``devices`` defaults to every device of the underlying fleet.
         Returns one :class:`ModelTuning` per device, in request order.
@@ -330,25 +364,25 @@ class SearchService:
                 seen.add(spec.name)
                 specs.append(spec)
 
-        # Partition once per taxonomy: schedules are sampled for the device
-        # kind, so a gpu and a cpu see different kernels of the same model.
-        tasks_by_taxonomy: Dict[str, Dict[str, Task]] = {}
-        for spec in specs:
-            if spec.taxonomy in tasks_by_taxonomy:
-                continue
-            if isinstance(model, TIRDataFlowGraph):
-                tasks_by_taxonomy[spec.taxonomy] = extract_unique_tasks(model)
-            else:
-                dfg = partition_into_programs(
-                    model, target_kind=spec.taxonomy, batch_size=batch_size, seed=seed
-                )
-                tasks_by_taxonomy[spec.taxonomy] = extract_unique_tasks(dfg)
+        # The DFG's first-occurrence topological order fixes the order of
+        # ModelTuning.results, and so of the tuned_latency_s sum.
+        if isinstance(model, TIRDataFlowGraph):
+            tasks = extract_unique_tasks(model)
+        elif isinstance(model, str):
+            tasks = self._zoo_tasks(model, batch_size)
+        elif isinstance(model, ModelGraph):
+            tasks = _unique_tasks_in_topo_order(model)
+        else:
+            raise SearchError(
+                "tune_model needs a zoo name, a ModelGraph or a TIRDataFlowGraph, "
+                f"got {type(model).__name__}"
+            )
 
         model_name = model if isinstance(model, str) else getattr(model, "name", repr(model))
         tunings: List[ModelTuning] = []
         for spec in specs:
             tuning = ModelTuning(model=model_name, device=spec.name)
-            for key, task in tasks_by_taxonomy[spec.taxonomy].items():
+            for key, task in tasks.items():
                 result, was_cached = self._tune_task_tracked(
                     task,
                     spec,

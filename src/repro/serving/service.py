@@ -13,6 +13,7 @@ tuners exercise when they score thousands of candidate schedules per round):
 * **feature cache** — backends that expose the ``featurize_rows`` /
   ``predict_rows`` fast path (the CDMPP transformer, whose featurization
   dominates per-query cost) get their per-(program, device) feature rows
+  (compact, unpadded :class:`~repro.features.pipeline.FeatureRow` objects)
   cached in an LRU, so repeats skip featurization; other backends featurize
   internally and skip this tier;
 * **prediction cache** — final latencies are kept in a second LRU keyed per

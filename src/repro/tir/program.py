@@ -75,6 +75,22 @@ class LeafRecord:
 
 
 @dataclass(frozen=True)
+class LeafLayout:
+    """The leaves of a program's AST and where they sit in it.
+
+    Attributes:
+        records: Every compute statement with its loop context, in order.
+        positions: Pre-order index of each leaf in the full AST (the Compact
+            AST's ordering vector).
+        num_ast_nodes: Node count of the full AST.
+    """
+
+    records: Tuple[LeafRecord, ...]
+    positions: Tuple[int, ...]
+    num_ast_nodes: int
+
+
+@dataclass(frozen=True)
 class ProgramStats:
     """Aggregate structural statistics of a tensor program."""
 
@@ -110,22 +126,46 @@ class TensorProgram:
     root: Stmt
 
     @cached_property
-    def leaf_records(self) -> Tuple[LeafRecord, ...]:
-        """All compute statements with their enclosing loop context, in order."""
+    def leaf_layout(self) -> LeafLayout:
+        """Leaves, their AST pre-order positions and the AST size, in one walk.
+
+        Positions and node count are those of the Tiramisu-style AST
+        (:func:`repro.tir.ast.build_ast` + :func:`~repro.tir.ast.
+        preorder_serialize`): loops and compute statements are nodes,
+        statement sequences are flattened, and a synthetic root is added
+        unless the top level is a single loop.
+        """
         records: List[LeafRecord] = []
+        positions: List[int] = []
+        counter = 0
 
         def visit(stmt: Stmt, loops: Tuple[LoopContext, ...]) -> None:
+            nonlocal counter
             if isinstance(stmt, ForLoop):
+                counter += 1
                 context = LoopContext(stmt.var.name, stmt.extent, stmt.kind)
                 visit(stmt.body, loops + (context,))
             elif isinstance(stmt, SeqStmt):
                 for child in stmt.stmts:
                     visit(child, loops)
             elif isinstance(stmt, ComputeStmt):
+                positions.append(counter)
+                counter += 1
                 records.append(LeafRecord(stmt, loops))
 
         visit(self.root, ())
-        return tuple(records)
+        top = self.root
+        while isinstance(top, SeqStmt) and len(top.stmts) == 1:
+            top = top.stmts[0]
+        if not isinstance(top, ForLoop):  # the synthetic root is node 0
+            positions = [position + 1 for position in positions]
+            counter += 1
+        return LeafLayout(tuple(records), tuple(positions), counter)
+
+    @property
+    def leaf_records(self) -> Tuple[LeafRecord, ...]:
+        """All compute statements with their enclosing loop context, in order."""
+        return self.leaf_layout.records
 
     @cached_property
     def stats(self) -> ProgramStats:

@@ -9,6 +9,7 @@ yields a concrete :class:`~repro.tir.program.TensorProgram`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import TIRError
@@ -161,9 +162,13 @@ class Task:
             total *= iv.extent
         return total
 
-    @property
+    @cached_property
     def workload_key(self) -> str:
-        """Stable identifier of the task (operator type + parameters + model)."""
+        """Stable identifier of the task (operator type + parameters + model).
+
+        Computed once per task: a frozen dataclass without slots keeps the
+        cached value in its instance ``__dict__``, outside the fields.
+        """
         key = stable_hash(self.op_type, sorted(self.params.items()), self.model, bits=48)
         return f"{self.op_type}-{key:012x}"
 

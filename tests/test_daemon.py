@@ -396,6 +396,44 @@ class TestProtocolErrors:
         assert first["ok"]
         assert second["error"]["code"] == E_BAD_REQUEST
 
+    def test_blank_line_flood_before_request(self, daemon):
+        # Blank keep-alive lines are skipped in a loop, not one recursion
+        # per line (5,000 used to raise RecursionError).
+        sock = socket.create_connection(daemon.address, timeout=30)
+        try:
+            sock.sendall(b"\n" * 10_000 + encode_message({"op": "health", "id": 7}))
+            response = MessageStream(sock).recv()
+        finally:
+            sock.close()
+        assert response["ok"] and response["id"] == 7
+
+    def test_stream_skips_blank_lines_then_reads_eof(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(b"\n \r\n" * 10_000 + encode_message({"op": "health"}) + b"\n\n")
+            left.close()
+            stream = MessageStream(right)
+            assert stream.recv() == {"op": "health"}
+            assert stream.recv() is None  # trailing blanks, then clean EOF
+        finally:
+            right.close()
+
+
+class TestTcpNoDelay:
+    """Small answers must not wait for the peer's delayed ACK (Nagle)."""
+
+    @staticmethod
+    def _nodelay(sock) -> bool:
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    def test_client_and_accepted_sockets_set_nodelay(self, daemon):
+        with _connect(daemon) as client:
+            assert client.health()["ok"]
+            assert self._nodelay(client._stream._sock)
+            with daemon._streams_lock:
+                accepted = [stream._sock for stream in daemon._streams]
+            assert accepted and all(self._nodelay(sock) for sock in accepted)
+
 
 class TestDaemonCLI:
     def test_sigterm_drains_and_exits_cleanly(self, tmp_path):

@@ -4,13 +4,29 @@ import numpy as np
 import pytest
 
 from repro.errors import FeatureError
-from repro.features.compact_ast import COMPUTATION_VECTOR_LENGTH, extract_compact_ast
+from repro.features.compact_ast import (
+    COMPUTATION_VECTOR_LENGTH,
+    _StatementMemo,
+    _TaskStatements,
+    extract_compact_ast,
+)
 from repro.features.device_features import DEVICE_FEATURE_DIM, device_feature_vector
-from repro.features.pipeline import FeatureSet, featurize_programs, featurize_records
+from repro.features.pipeline import (
+    FeatureSet,
+    featurize_programs,
+    featurize_records,
+    featurize_rows,
+    stack_rows,
+)
 from repro.features.positional import add_positional_encoding, positional_encoding
 from repro.ops import conv2d, dense, embedding_lookup
+from repro.tir.ast import build_ast, preorder_serialize
+from repro.tir.buffer import Buffer
+from repro.tir.expr import FloatImm, Var
 from repro.tir.lower import lower
+from repro.tir.program import TensorProgram
 from repro.tir.schedule import Schedule, random_schedule
+from repro.tir.stmt import ComputeStmt, ForLoop, LoopKind, SeqStmt
 
 
 class TestCompactAST:
@@ -49,6 +65,170 @@ class TestCompactAST:
             from repro.features.compact_ast import CompactAST
 
             CompactAST(np.zeros((2, 3)), np.zeros(2), 5)
+
+
+def _sample_programs(count=12):
+    tasks = [
+        dense(8, 64, 32, activation="relu", model="layout"),
+        conv2d(1, 8, 16, 14, 14, kernel=3, stride=1, padding=1, model="layout"),
+        embedding_lookup(16, 1000, 32, model="layout"),
+    ]
+    rng = np.random.default_rng(3)
+    return [
+        lower(task, random_schedule(task, rng, kind))
+        for task in tasks
+        for kind in ("gpu", "cpu")
+        for _ in range(count // 6)
+    ]
+
+
+def _hand_built_roots(task):
+    """Program roots lowering never emits: a bare statement, nested
+    single-child sequences, a top-level sequence of a loop and a statement."""
+    out = Buffer("out", (4,))
+
+    def stmt(label):
+        return ComputeStmt(out, (Var("i"),), FloatImm(1.0), label=label)
+
+    def loop(body):
+        return ForLoop(Var("i"), 4, LoopKind.SERIAL, body)
+
+    return [
+        stmt("bare"),
+        SeqStmt([SeqStmt([loop(stmt("wrapped"))])]),
+        SeqStmt([loop(SeqStmt([stmt("a"), stmt("b")])), stmt("c")]),
+        loop(SeqStmt([stmt("d"), loop(stmt("e")), SeqStmt([stmt("f")])])),
+    ]
+
+
+class TestLeafLayout:
+    """The single-walk leaf positions equal the full AST's pre-order walk."""
+
+    def test_matches_full_ast(self, dense_task):
+        programs = _sample_programs() + [
+            TensorProgram(dense_task, Schedule(), root) for root in _hand_built_roots(dense_task)
+        ]
+        for program in programs:
+            root = build_ast(program)
+            _, positions = preorder_serialize(root)
+            layout = program.leaf_layout
+            assert list(layout.positions) == positions
+            assert layout.num_ast_nodes == root.num_nodes()
+            assert layout.records == program.leaf_records
+            compact = extract_compact_ast(program)
+            assert compact.num_ast_nodes == root.num_nodes()
+            assert compact.ordering_vector.tolist() == positions
+
+
+class TestStatementMemo:
+    def test_entries_are_never_shared_between_tasks(self):
+        import dataclasses
+
+        task = dense(8, 64, 32, activation="relu", model="memo")
+        first, *rest = task.body.reads
+        gather = dataclasses.replace(
+            task,
+            body=dataclasses.replace(
+                task.body, reads=(dataclasses.replace(first, pattern="gather"), *rest)
+            ),
+        )
+        # Both tasks lower to structurally equal statements; only the task
+        # knows the access pattern.
+        plain = extract_compact_ast(lower(task)).computation_vectors
+        gathered = extract_compact_ast(lower(gather)).computation_vectors
+        gather_column = -2
+        assert plain[:, gather_column].max() == 0.0
+        assert gathered[:, gather_column].max() >= 1.0
+
+    def test_recycled_id_does_not_find_another_tasks_entry(self):
+        memo = _StatementMemo()
+        task_a = dense(8, 64, 32, model="a")
+        task_b = dense(8, 64, 32, model="b")
+        entry = memo.for_task(task_a)
+        memo._tasks[id(task_b)] = entry  # what a recycled id would look like
+        fresh = memo.for_task(task_b)
+        assert fresh is not entry and fresh.task_ref() is task_b
+        assert memo.for_task(task_b) is fresh
+
+    def test_memo_is_bounded(self):
+        memo = _StatementMemo(capacity=2)
+        tasks = [dense(8, 64, 32, model=f"bound{i}") for i in range(4)]
+        for task in tasks:
+            memo.for_task(task)
+        assert len(memo._tasks) == 2
+        statements = _TaskStatements(tasks[0])
+        out = Buffer("out", (4,))
+        for index in range(_TaskStatements.MAX_STATEMENTS + 10):
+            statements.lookup(ComputeStmt(out, (Var("i"),), FloatImm(1.0), label=f"s{index}"))
+        assert len(statements.features) == _TaskStatements.MAX_STATEMENTS
+
+    def test_concurrent_extraction_through_a_small_memo(self, monkeypatch):
+        import sys
+        import threading
+
+        import repro.features.compact_ast as compact_ast
+
+        programs = _sample_programs(count=24)
+        expected = [extract_compact_ast(p).computation_vectors.tobytes() for p in programs]
+        memo = _StatementMemo(capacity=2)  # forces evictions between threads
+        monkeypatch.setattr(compact_ast, "_STATEMENTS", memo)
+        mismatches, errors = [], []
+
+        def worker(offset):
+            try:
+                for round_ in range(5):
+                    for i in range(len(programs)):
+                        index = (i + offset + round_) % len(programs)
+                        program = lower(programs[index].task, programs[index].schedule)
+                        got = extract_compact_ast(program).computation_vectors.tobytes()
+                        if got != expected[index]:
+                            mismatches.append(index)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not mismatches
+        assert len(memo._tasks) <= 2
+
+    def test_repeat_extraction_is_identical(self, dense_task):
+        schedule = random_schedule(dense_task, np.random.default_rng(11), "gpu")
+        first = extract_compact_ast(lower(dense_task, schedule))
+        second = extract_compact_ast(lower(dense_task, schedule))  # memo hits
+        assert first.computation_vectors.tobytes() == second.computation_vectors.tobytes()
+
+
+class TestFeatureRows:
+    def test_stacked_rows_equal_featurize_programs(self):
+        programs = _sample_programs()
+        devices = ["t4", "e5-2673"] * (len(programs) // 2)
+        reference = featurize_programs(programs, devices, max_leaves=16)
+        batch = stack_rows(featurize_rows(programs, devices, max_leaves=16), 16)
+        for field in ("x", "mask", "leaf_counts", "device_features"):
+            expected, actual = getattr(reference, field), getattr(batch, field)
+            assert actual.dtype == expected.dtype and actual.shape == expected.shape
+            assert actual.tobytes() == expected.tobytes()
+
+    def test_rows_are_unpadded_and_read_only(self, dense_program):
+        rows = featurize_rows([dense_program, dense_program], ["t4", "t4"], max_leaves=16)
+        for row in rows:
+            assert row.vectors.shape == (dense_program.num_leaves, COMPUTATION_VECTOR_LENGTH)
+            assert not row.vectors.flags.writeable
+            assert not row.device_features.flags.writeable
+        assert rows[0].device_features is rows[1].device_features
+
+    def test_too_many_leaves_raises(self, dense_program):
+        with pytest.raises(FeatureError):
+            featurize_rows([dense_program], ["t4"], max_leaves=1)
 
 
 class TestPositionalEncoding:

@@ -244,6 +244,57 @@ class TestTuneModel:
         tunings = search.tune_model("bert_tiny", **BUDGET, seed=0)
         assert sorted(tuning.device for tuning in tunings) == ["k80", "t4"]
 
+    def test_task_order_matches_the_dfg(self):
+        from repro.graph.partition import partition_into_programs
+        from repro.graph.zoo import build_model, list_models
+        from repro.serving.search import _unique_tasks_in_topo_order
+
+        for name in list_models():
+            tasks = _unique_tasks_in_topo_order(build_model(name))
+            dfg = partition_into_programs(name, target_kind="cpu", seed=3)
+            assert list(tasks) == list(dfg.unique_programs())
+
+    def test_zoo_task_list_is_listed_once(self, trained_trainer, monkeypatch):
+        import repro.serving.search as search_module
+
+        calls = []
+        real_build = search_module.build_model
+
+        def counting_build(name, batch_size=1):
+            calls.append((name, batch_size))
+            return real_build(name, batch_size=batch_size)
+
+        monkeypatch.setattr(search_module, "build_model", counting_build)
+        search = SearchService(FleetService({"t4": trained_trainer}), cache=SearchCache())
+        (first,) = search.tune_model("bert_tiny", devices=["t4"], **BUDGET, seed=0)
+        (second,) = search.tune_model("bert_tiny", devices=["t4"], **BUDGET, seed=1)
+        assert calls == [("bert_tiny", 1)]
+        assert list(second.results) == list(first.results)
+
+    def test_task_list_memo_is_bounded(self, trained_trainer, monkeypatch):
+        import repro.serving.search as search_module
+
+        monkeypatch.setattr(search_module, "TASK_LIST_MEMO_SIZE", 2)
+        search = SearchService(FleetService({"t4": trained_trainer}), cache=SearchCache())
+        for batch_size in (1, 2, 4):
+            search._zoo_tasks("bert_tiny", batch_size)
+        assert list(search._task_lists) == [("bert_tiny", 2), ("bert_tiny", 4)]
+
+    def test_model_graph_is_enumerated_every_call(self, trained_trainer):
+        from repro.graph.zoo import build_model
+
+        search = SearchService(FleetService({"t4": trained_trainer}), cache=SearchCache())
+        graph = build_model("bert_tiny")
+        (by_graph,) = search.tune_model(graph, devices=["t4"], **BUDGET, seed=0)
+        (by_name,) = search.tune_model("bert_tiny", devices=["t4"], **BUDGET, seed=0)
+        assert list(search._task_lists) == [("bert_tiny", 1)]  # the graph was not kept
+        assert by_graph.results == by_name.results
+
+    def test_unsupported_model_type_rejected(self, trained_trainer):
+        search = SearchService(FleetService({"t4": trained_trainer}), cache=SearchCache())
+        with pytest.raises(SearchError, match="zoo name"):
+            search.tune_model(42, devices=["t4"], **BUDGET)
+
     def test_empty_devices_rejected(self, trained_trainer):
         search = SearchService(FleetService({"t4": trained_trainer}), cache=SearchCache())
         with pytest.raises(SearchError, match="at least one device"):

@@ -125,3 +125,18 @@ class TestStmt:
         text = format_stmt(loop)
         assert "vectorized" in text
         assert "range(4)" in text
+
+
+class TestTaskWorkloadKey:
+    def test_computed_once_and_stable(self):
+        from repro.ops import dense
+        from repro.utils.rng import stable_hash
+
+        task = dense(8, 64, 32, activation="relu", model="key")
+        key = task.workload_key
+        assert task.workload_key is key  # cached on the instance
+        expected = stable_hash(task.op_type, sorted(task.params.items()), task.model, bits=48)
+        assert key == f"dense-{expected:012x}"
+        twin = dense(8, 64, 32, activation="relu", model="key")
+        assert twin == task and twin.workload_key == key
+        assert "workload_key" not in repr(task)
