@@ -146,11 +146,11 @@ def test_tiered_predict_throughput(benchmark, tier_setup):
     assert len(fast_values) == len(old_values)
 
     # Accuracy contract: the student may lose at most 10 MAPE points to its
-    # teacher on held-out data.
+    # teacher on held-out data (mape is a fraction, so 10 points is 0.10).
     teacher_mape = trainer.evaluate(test_fs)["mape"]
     student_mape = student.evaluate_features(test_fs)["mape"]
-    assert student_mape <= teacher_mape + 10.0, (
-        f"student MAPE {student_mape:.1f} vs teacher {teacher_mape:.1f}"
+    assert student_mape <= teacher_mape + 0.10, (
+        f"student MAPE {student_mape:.3f} vs teacher {teacher_mape:.3f}"
     )
 
     # Throughput contracts.

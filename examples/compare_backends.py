@@ -7,8 +7,8 @@ each backend on the same train/valid split through the common
 Table 1 capabilities, test accuracy and training throughput — the axes the
 paper compares CDMPP against TLP, Habitat and AutoTVM's XGBoost on (Table 1,
 Fig. 6).  Finally, the two best backends serve the same whole-model query
-through one ``PredictionService`` each, showing that serving is
-backend-agnostic too.
+through one ``FleetService`` each, showing that serving is backend-agnostic
+too.
 
 Run with:  PYTHONPATH=src python examples/compare_backends.py [--device t4]
 """
@@ -22,7 +22,7 @@ from repro.core.scale import get_scale
 from repro.dataset.splits import split_dataset
 from repro.dataset.tenset import DatasetConfig, generate_dataset
 from repro.errors import ReproError
-from repro.serving import PredictionService
+from repro.serving import FleetService
 
 NETWORK = "bert_tiny"
 
@@ -78,8 +78,8 @@ def main() -> None:
                    if entry[0].capabilities["model_level"]}
     best = sorted(model_level, key=lambda name: model_level[name][1]["mape"])[:2]
     for name in best:
-        service = PredictionService(fitted[name][0])
-        prediction = service.predict_model(NETWORK, args.device, seed=args.seed)
+        fleet = FleetService({args.device: fitted[name][0]})
+        prediction = fleet.predict_model(NETWORK, args.device, seed=args.seed)
         print(f"      {name:9s} -> {prediction.predicted_latency_s * 1e3:8.3f} ms "
               f"({prediction.num_nodes} ops)")
 

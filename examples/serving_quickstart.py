@@ -2,9 +2,9 @@
 """Quickstart for the serving layer: registry + batched, cached queries.
 
 Trains a tiny cost model on the first run and registers it; every later run
-loads the checkpoint and goes straight to serving.  A PredictionService then
-answers a tuner-shaped stream of repeated program queries and a few
-whole-model queries, and prints what the caches and batcher did.
+loads the checkpoint and goes straight to serving.  A one-device
+FleetService then answers a tuner-shaped stream of repeated program queries
+and a few whole-model queries, and prints what the caches and batcher did.
 
 Run with:  PYTHONPATH=src python examples/serving_quickstart.py [--registry DIR]
 """
@@ -19,7 +19,7 @@ from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset
 from repro.dataset.tenset import DatasetConfig, generate_dataset
 from repro.features.pipeline import featurize_records
-from repro.serving import ModelRegistry, PredictionService
+from repro.serving import FleetService, ModelRegistry
 
 DEVICE = "t4"
 MODEL_NAME = f"{DEVICE}-tiny"
@@ -53,7 +53,7 @@ def main() -> None:
 
     registry = ModelRegistry(args.registry)
     trainer = train_or_load(registry)
-    service = PredictionService(trainer)
+    fleet = FleetService({DEVICE: trainer})
 
     # A tuner-shaped workload: the same kernels queried over several rounds.
     scale = get_scale("tiny")
@@ -63,19 +63,19 @@ def main() -> None:
     print(f"[2/3] serving {ROUNDS} rounds of {len(programs)} kernel queries ...")
     start = time.perf_counter()
     for round_index in range(ROUNDS):
-        latencies = service.predict(programs, DEVICE)
+        latencies = fleet.predict_programs(programs, DEVICE)
     elapsed = time.perf_counter() - start
     total = ROUNDS * len(programs)
     print(f"      {total} queries in {elapsed * 1e3:.1f} ms "
           f"({total / elapsed:,.0f} queries/s); fastest kernel {latencies.min() * 1e6:.1f} us")
 
-    print("[3/3] whole-model queries through the same cached service ...")
+    print("[3/3] whole-model queries through the same cached fleet ...")
     for network in NETWORKS:
-        prediction = service.predict_model(network, DEVICE, seed=0)
+        prediction = fleet.predict_model(network, DEVICE, seed=0)
         print(f"      {network:14s} -> {prediction.predicted_latency_s * 1e3:8.3f} ms "
               f"({prediction.num_nodes} ops)")
 
-    stats = service.describe_stats()
+    stats = fleet.describe_stats()["kernel_service"]
     print(f"\nservice stats: {stats['queries']} queries, {stats['batches']} predictor batches, "
           f"{stats['programs_featurized']} programs featurized once")
     print(f"prediction cache: {stats['prediction_cache']['hits']} hits / "

@@ -22,6 +22,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.8",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["cdmpp=repro.cli:main"]},
 )

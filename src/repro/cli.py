@@ -26,16 +26,19 @@ Subcommands follow the train-once / query-many workflow of the paper:
   on the new device, fine-tune a detached clone with the CMD-regularized
   objective (Eq. 7) and register the adapted checkpoint with lineage
   metadata.  The parent checkpoint is never modified.
-* ``cdmpp serve <device>`` — answer a stream of queries from a file or stdin
-  through one cached, batched :class:`repro.serving.PredictionService`.
-* ``cdmpp fleet --devices a,b`` — the multi-device version of ``serve``:
-  each streamed query names a network and optionally a device (default: fan
-  out to every device and rank).
+* ``cdmpp fleet --devices a,b`` — answer a stream of queries from a file or
+  stdin through one cached, batched :class:`repro.serving.FleetService`:
+  each line names a network and optionally a batch size and a device
+  (default: fan out to every device and rank).  ``--devices t4
+  --train-missing`` serves one device, training its checkpoint if needed.
+* ``cdmpp daemon --devices a,b`` / ``cdmpp client`` — the same fleet behind a
+  TCP daemon, and the line client that queries it (same request lines, same
+  ranked output as ``cdmpp fleet``).
 * ``cdmpp list`` — show available networks, devices, scales and checkpoints.
 
-The original positional form ``cdmpp <network> <batch_size> <device>`` keeps
-working and preserves its train-from-scratch semantics (it never reads or
-writes the registry).
+The original positional form ``cdmpp <network> <batch_size> <device>`` is an
+alias of ``cdmpp query <network> <batch_size> <device> --retrain --no-save``:
+it trains from scratch and never reads or writes the registry.
 
 ``docs/cli.md`` is generated from this argparse tree by
 ``tools/gen_cli_docs.py`` (via :func:`render_cli_docs`); regenerate it after
@@ -61,7 +64,6 @@ from repro.backends import (
     resolve_backend_name,
 )
 from repro.core.scale import ExperimentScale, available_scales, get_scale
-from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset
 from repro.dataset.tenset import DatasetConfig, generate_dataset
 from repro.devices.spec import DeviceSpec, all_device_names, get_device
@@ -77,10 +79,10 @@ from repro.serving import (
     DaemonRequestError,
     FleetService,
     ModelRegistry,
-    PredictionService,
     SearchService,
     ServingDaemon,
 )
+from repro.serving.daemon import prediction_fields
 
 SUBCOMMANDS = (
     "train",
@@ -89,7 +91,6 @@ SUBCOMMANDS = (
     "tune",
     "compare",
     "onboard",
-    "serve",
     "fleet",
     "daemon",
     "client",
@@ -163,30 +164,14 @@ def _sub(sub, name: str, help_text: str, epilog: str) -> argparse.ArgumentParser
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy positional-form parser (``cdmpp <network> <batch> <device>``)."""
-    parser = argparse.ArgumentParser(
-        prog="cdmpp",
-        description="Predict the end-to-end latency of a DNN model on a device.",
-        epilog="example:\n  cdmpp bert_tiny 1 t4 --scale tiny\n\n"
-        "Always trains from scratch and never touches the registry; prefer\n"
-        "`cdmpp query` for the train-once / query-many workflow.",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("network", help=f"network name, one of: {', '.join(list_models())}")
-    parser.add_argument("batch_size", type=int, help="batch size of the query")
-    parser.add_argument("device", help=f"device name, one of: {', '.join(all_device_names())}")
-    _add_scale_seed(parser)
-    return parser
-
-
 def build_cli_parser() -> argparse.ArgumentParser:
-    """The subcommand parser (``cdmpp train|query|predict-model|serve|fleet|list``)."""
+    """The subcommand parser (``cdmpp train|query|predict-model|fleet|...|list``)."""
     parser = argparse.ArgumentParser(
         prog="cdmpp",
         description=(
             "Train, persist and query the CDMPP cost model. "
-            "The legacy form `cdmpp <network> <batch_size> <device>` is still accepted."
+            "The legacy form `cdmpp <network> <batch_size> <device>` is an alias of "
+            "`cdmpp query <network> <batch_size> <device> --retrain --no-save`."
         ),
         epilog="See docs/cli.md for the full reference of every subcommand.",
     )
@@ -200,7 +185,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "  cdmpp train t4 --scale tiny --backend xgboost\n\n"
         "Registers the checkpoint as '<device>-<scale>' for the cdmpp backend\n"
         "and '<device>-<scale>-<backend>' for baselines (override with --name)\n"
-        "so `cdmpp query`, `cdmpp serve`, `cdmpp fleet` and\n"
+        "so `cdmpp query`, `cdmpp fleet`, `cdmpp daemon` and\n"
         "`cdmpp predict-model` can load it instead of retraining.",
     )
     train.add_argument("device", help=f"target device, one of: {', '.join(all_device_names())}")
@@ -414,31 +399,13 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "--no-register", action="store_true", help="report only; do not register the adapted model"
     )
 
-    serve = _sub(
-        sub,
-        "serve",
-        "answer a stream of `network [batch_size]` queries through one service",
-        "example:\n  printf 'bert_tiny 1\\nvgg16 8\\n' | cdmpp serve t4 --scale tiny\n\n"
-        "Reads one `network [batch_size]` query per line from --requests\n"
-        "('-' = stdin, '#' starts a comment) and answers all of them through\n"
-        "one cached, batched PredictionService, printing cache statistics at\n"
-        "the end.",
-    )
-    serve.add_argument("device", help=f"device name, one of: {', '.join(all_device_names())}")
-    _add_scale_seed(serve)
-    _add_checkpoint_options(serve)
-    serve.add_argument(
-        "--requests",
-        default="-",
-        help="file with one `network [batch_size]` query per line ('-' reads stdin)",
-    )
-
     fleet = _sub(
         sub,
         "fleet",
         "serve `network [batch_size] [device]` queries across a device fleet",
         "example:\n  printf 'bert_tiny\\nresnet50 1 t4\\n' | "
-        "cdmpp fleet --devices t4,k80 --scale tiny\n\n"
+        "cdmpp fleet --devices t4,k80 --scale tiny\n"
+        "  printf 'bert_tiny 1\\nvgg16 8\\n' | cdmpp fleet --devices t4 --train-missing\n\n"
         "Each request line is `network [batch_size] [device]`; without a\n"
         "device the query fans out to every fleet device and prints a ranked\n"
         "answer. Serves from registered checkpoints; devices without one are\n"
@@ -608,11 +575,6 @@ def _train_model(device_name: str, scale_name: str, seed: int, backend: str = "c
     model = _make_backend_for(backend, device_name, scale, seed)
     model.fit(splits.train, splits.valid)
     return model
-
-
-def _train_trainer(device_name: str, scale_name: str, seed: int) -> Trainer:
-    """Train a fresh CDMPP cost model for one device at the given scale."""
-    return _train_model(device_name, scale_name, seed, backend="cdmpp").trainer
 
 
 def _resolve_model(args):
@@ -840,34 +802,67 @@ def _build_fleet(
     return FleetService(_fleet_models(args, specs, train_missing), fast_models=fast_models)
 
 
-def _open_requests(args, stream: Optional[TextIO]) -> Optional[Tuple[TextIO, Optional[TextIO]]]:
-    """Resolve the --requests stream ('-' = stdin).
-
-    Returns ``(stream, opened)`` where ``opened`` is the file to close when
-    done (None for stdin / injected streams), or None after printing an error.
-    """
-    if stream is not None:
-        return stream, None
-    if args.requests == "-":
-        return sys.stdin, None
-    try:
-        opened = open(args.requests, "r")
-    except OSError as error:
-        print(f"error: cannot read requests file: {error}", file=sys.stderr)
-        return None
-    return opened, opened
+def _parse_request_line(line: str) -> Tuple[str, int, Optional[str]]:
+    """Split a `network [batch_size] [device]` line; device None (or 'all'/'*') fans out."""
+    parts = line.split()
+    batch_size, device = 1, None
+    for token in parts[1:]:
+        if token.isdigit():
+            batch_size = int(token)
+        else:
+            device = token
+    return parts[0], batch_size, None if device in ("all", "*") else device
 
 
-def _print_fleet_ranking(results) -> None:
-    fastest = results[0].predicted_latency_s if results else 0.0
-    for rank, prediction in enumerate(results, start=1):
-        relative = prediction.predicted_latency_s / fastest if fastest > 0 else 1.0
+def _print_ranking(results: List[dict]) -> None:
+    """Ranked per-device answers, as wire fields (see ``prediction_fields``)."""
+    fastest = results[0]["latency_s"] if results else 0.0
+    for rank, result in enumerate(results, start=1):
+        relative = result["latency_s"] / fastest if fastest > 0 else 1.0
         print(
-            f"[cdmpp]   {rank}. {prediction.device:12s} "
-            f"{prediction.predicted_latency_s * 1e3:9.3f} ms  "
-            f"({relative:4.2f}x, serial {prediction.serial_latency_s * 1e3:.3f} ms, "
-            f"{prediction.num_nodes} ops / {prediction.num_unique_kernels} kernels)"
+            f"[cdmpp]   {rank}. {result['device']:12s} "
+            f"{result['latency_s'] * 1e3:9.3f} ms  "
+            f"({relative:4.2f}x, serial {result['serial_latency_s'] * 1e3:.3f} ms, "
+            f"{result['num_nodes']} ops / {result['num_unique_kernels']} kernels)"
         )
+
+
+def _answer_requests(args, stream: Optional[TextIO], answer, errors) -> Optional[int]:
+    """Answer every request line of --requests ('-' = stdin) and print its ranking.
+
+    ``answer(network, batch_size, device)`` returns ranked wire-field
+    results; a line raising one of ``errors`` is reported and skipped.  Blank
+    lines and '#' comments are ignored.  Returns the number of answered
+    lines, or None after printing an error when the file cannot be read.
+    """
+    opened = None
+    if stream is None and args.requests == "-":
+        stream = sys.stdin
+    elif stream is None:
+        try:
+            stream = opened = open(args.requests, "r")
+        except OSError as error:
+            print(f"error: cannot read requests file: {error}", file=sys.stderr)
+            return None
+    answered = 0
+    try:
+        for line in stream:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            network, batch_size, device = _parse_request_line(line)
+            try:
+                results = answer(network, batch_size, device)
+            except errors as error:
+                print(f"error: bad query {line!r}: {error}", file=sys.stderr)
+                continue
+            answered += 1
+            print(f"[cdmpp] {results[0]['network'] if results else network} batch={batch_size}:")
+            _print_ranking(results)
+    finally:
+        if opened is not None:
+            opened.close()
+    return answered
 
 
 def _print_query_report(prediction, ground_truth, batch_size: int, device, tier: str) -> None:
@@ -926,13 +921,11 @@ def _cmd_query(args) -> int:
         path = registry.save(name, cost_model, device=device.name, scale=args.scale, seed=args.seed)
         print(f"[cdmpp] registered {name!r} at {path}; later queries skip training")
 
-    if args.tier == "fast":
-        # The student serves the fast tier; the accurate slot holds it too so
-        # the service constructs, but this query never touches that table.
-        service = PredictionService(cost_model, fast_models={device.name: cost_model})
-    else:
-        service = PredictionService(cost_model)
-    prediction = service.predict_model(
+    # With --tier fast the student also fills the accurate slot, so the fleet
+    # constructs; this query never touches that table.
+    fast_models = {device.name: cost_model} if args.tier == "fast" else None
+    fleet = FleetService({device.name: cost_model}, fast_models=fast_models)
+    prediction = fleet.predict_model(
         model, device, batch_size=args.batch_size, seed=args.seed, tier=args.tier
     )
     ground_truth = measure_end_to_end(model, device, seed=args.seed)
@@ -1186,7 +1179,7 @@ def _cmd_predict_model(args) -> int:
         f"[cdmpp] {network} (batch={args.batch_size}): end-to-end latency on "
         f"{len(results)} device(s), compose={args.compose}, tier={args.tier}"
     )
-    _print_fleet_ranking(results)
+    _print_ranking([prediction_fields(prediction) for prediction in results])
     stats = fleet.describe_stats()["kernel_service"]
     print(
         f"[cdmpp] {stats['queries']} kernel queries answered in {stats['batches']} "
@@ -1262,57 +1255,23 @@ def _cmd_fleet(args, stream: Optional[TextIO] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    resolved = _open_requests(args, stream)
-    if resolved is None:
-        return 2
-    stream, opened = resolved
+    def answer(network: str, batch_size: int, device: Optional[str]) -> List[dict]:
+        results = fleet.predict_model_fleet(
+            network,
+            devices=None if device is None else [device],
+            batch_size=batch_size,
+            seed=args.seed,
+            compose=args.compose,
+        )
+        return [prediction_fields(prediction) for prediction in results]
 
-    device_names = [spec.name for spec in specs]
     print(
-        f"[cdmpp] fleet serving {', '.join(device_names)}; "
+        f"[cdmpp] fleet serving {', '.join(spec.name for spec in specs)}; "
         "one `network [batch_size] [device]` query per line"
     )
-    answered = 0
-    try:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                network = resolve_model_name(parts[0])
-                batch_size, target = 1, None
-                for token in parts[1:]:
-                    if token.isdigit():
-                        batch_size = int(token)
-                    else:
-                        target = token
-                if target is not None and target not in ("all", "*"):
-                    targets = [get_device(target).name]
-                    if targets[0] not in device_names:
-                        raise ReproError(
-                            f"device {targets[0]!r} is not part of this fleet "
-                            f"({', '.join(device_names)})"
-                        )
-                else:
-                    targets = device_names
-                results = fleet.predict_model_fleet(
-                    network,
-                    devices=targets,
-                    batch_size=batch_size,
-                    seed=args.seed,
-                    compose=args.compose,
-                )
-            except (ReproError, ValueError) as error:
-                print(f"error: bad query {line!r}: {error}", file=sys.stderr)
-                continue
-            answered += 1
-            print(f"[cdmpp] {network} batch={batch_size}:")
-            _print_fleet_ranking(results)
-    finally:
-        if opened is not None:
-            opened.close()
-
+    answered = _answer_requests(args, stream, answer, (ReproError, ValueError))
+    if answered is None:
+        return 2
     stats = fleet.describe_stats()
     kernel = stats["kernel_service"]
     cache = kernel["prediction_cache"]
@@ -1321,57 +1280,6 @@ def _cmd_fleet(args, stream: Optional[TextIO] = None) -> int:
         f"{kernel['queries']} kernel lookups, {kernel['predictions_computed']} predictor rows "
         f"in {kernel['batches']} batches, cache hit rate {cache['hit_rate'] * 100:.0f}%, "
         f"{stats['partitions']} partitions ({stats['partition_cache_hits']} reused)"
-    )
-    return 0
-
-
-def _cmd_serve(args, stream: Optional[TextIO] = None) -> int:
-    try:
-        device = get_device(args.device)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    resolved = _open_requests(args, stream)
-    if resolved is None:
-        return 2
-    stream, opened = resolved
-
-    cost_model, source, registry, name = _resolve_model(args)
-    if source == "trained":
-        registry.save(name, cost_model, device=device.name, scale=args.scale, seed=args.seed)
-    service = PredictionService(cost_model)
-
-    print(f"[cdmpp] serving device {device.name}; one `network [batch_size]` query per line")
-    answered = 0
-    try:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                network, batch_size = parts[0], int(parts[1]) if len(parts) > 1 else 1
-                prediction = service.predict_model(
-                    network, device, batch_size=batch_size, seed=args.seed
-                )
-            except (ReproError, ValueError) as error:
-                print(f"error: bad query {line!r}: {error}", file=sys.stderr)
-                continue
-            answered += 1
-            print(
-                f"[cdmpp] {prediction.model:16s} batch={batch_size:<3d} "
-                f"-> {prediction.predicted_latency_s * 1e3:9.3f} ms  ({prediction.num_nodes} ops)"
-            )
-    finally:
-        if opened is not None:
-            opened.close()
-    stats = service.describe_stats()
-    cache = stats["prediction_cache"]
-    print(
-        f"[cdmpp] served {answered} queries: {stats['queries']} kernel lookups, "
-        f"{stats['predictions_computed']} predictor rows in {stats['batches']} batches, "
-        f"cache hit rate {cache['hit_rate'] * 100:.0f}%"
     )
     return 0
 
@@ -1438,19 +1346,6 @@ def _cmd_daemon(args) -> int:
     return 0
 
 
-def _print_client_ranking(results: List[dict]) -> None:
-    """Ranked per-device answers of one fanout (dicts off the wire)."""
-    fastest = results[0]["latency_s"] if results else 0.0
-    for rank, result in enumerate(results, start=1):
-        relative = result["latency_s"] / fastest if fastest > 0 else 1.0
-        print(
-            f"[cdmpp]   {rank}. {result['device']:12s} "
-            f"{result['latency_s'] * 1e3:9.3f} ms  "
-            f"({relative:4.2f}x, serial {result['serial_latency_s'] * 1e3:.3f} ms, "
-            f"{result['num_nodes']} ops / {result['num_unique_kernels']} kernels)"
-        )
-
-
 def _cmd_client(args, stream: Optional[TextIO] = None) -> int:
     try:
         client = DaemonClient(args.host, args.port, timeout_s=args.timeout_s)
@@ -1460,56 +1355,21 @@ def _cmd_client(args, stream: Optional[TextIO] = None) -> int:
             file=sys.stderr,
         )
         return 2
+
+    def answer(network: str, batch_size: int, device: Optional[str]) -> List[dict]:
+        options = dict(batch_size=batch_size, deadline_ms=args.deadline_ms, tier=args.tier)
+        if device is None:
+            return client.predict_model(network, **options)
+        return [client.query(network, device=device, **options)]
+
     try:
         if args.health or args.stats:
             payload = client.health() if args.health else client.stats()
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
-        resolved = _open_requests(args, stream)
-        if resolved is None:
+        answered = _answer_requests(args, stream, answer, DaemonRequestError)
+        if answered is None:
             return 2
-        stream, opened = resolved
-        answered = 0
-        try:
-            for line in stream:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                try:
-                    network = parts[0]
-                    batch_size, target = 1, None
-                    for token in parts[1:]:
-                        if token.isdigit():
-                            batch_size = int(token)
-                        else:
-                            target = token
-                    if target is not None and target not in ("all", "*"):
-                        result = client.query(
-                            network,
-                            device=target,
-                            batch_size=batch_size,
-                            deadline_ms=args.deadline_ms,
-                            tier=args.tier,
-                        )
-                        results = [result]
-                    else:
-                        results = client.predict_model(
-                            network,
-                            batch_size=batch_size,
-                            deadline_ms=args.deadline_ms,
-                            tier=args.tier,
-                        )
-                except DaemonRequestError as error:
-                    print(f"error: query {line!r} failed: {error}", file=sys.stderr)
-                    continue
-                answered += 1
-                shown = results[0]["network"] if results else network
-                print(f"[cdmpp] {shown} batch={batch_size}:")
-                _print_client_ranking(results)
-        finally:
-            if opened is not None:
-                opened.close()
         print(f"[cdmpp] {answered} queries answered by {args.host}:{args.port}")
         return 0
     except ReproError as error:
@@ -1530,37 +1390,17 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _run_legacy(argv: List[str]) -> int:
-    """The original one-shot form: train at --scale, then answer the query."""
-    args = build_parser().parse_args(argv)
-    try:
-        device = get_device(args.device)
-        model = build_model(args.network, batch_size=args.batch_size)
-    except Exception as error:  # argparse-style error reporting
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(f"[cdmpp] training a {args.scale}-scale cost model on device {device.name} ...")
-    trainer = _train_trainer(device.name, args.scale, args.seed)
-    service = PredictionService(trainer)
-    prediction = service.predict_model(model, device, batch_size=args.batch_size, seed=args.seed)
-    ground_truth = measure_end_to_end(model, device, seed=args.seed)
-    _print_query_report(prediction, ground_truth, args.batch_size, device, DEFAULT_TIER)
-    return 0
-
-
 # ----------------------------------------------------------------------
 # CLI reference rendering (docs/cli.md)
 # ----------------------------------------------------------------------
 def _iter_cli_parsers() -> List[Tuple[str, argparse.ArgumentParser]]:
-    """Every documented parser: the subcommands plus the legacy form."""
+    """Every documented parser: one per subcommand."""
     parser = build_cli_parser()
     parsers: List[Tuple[str, argparse.ArgumentParser]] = []
     for action in parser._actions:  # noqa: SLF001 - argparse has no public walk API
         if isinstance(action, argparse._SubParsersAction):
             for name, sub_parser in action.choices.items():
                 parsers.append((f"cdmpp {name}", sub_parser))
-    parsers.append(("cdmpp <network> <batch_size> <device> (legacy form)", build_parser()))
     return parsers
 
 
@@ -1636,27 +1476,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         build_cli_parser().print_help()
         return 0 if argv else 2
-    if argv[0] in SUBCOMMANDS:
-        args = build_cli_parser().parse_args(argv)
-        handler = {
-            "train": _cmd_train,
-            "query": _cmd_query,
-            "predict-model": _cmd_predict_model,
-            "tune": _cmd_tune,
-            "compare": _cmd_compare,
-            "onboard": _cmd_onboard,
-            "serve": _cmd_serve,
-            "fleet": _cmd_fleet,
-            "daemon": _cmd_daemon,
-            "client": _cmd_client,
-            "list": _cmd_list,
-        }[args.command]
-        try:
-            return handler(args)
-        except ReproError as error:  # e.g. a missing --checkpoint path
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    return _run_legacy(argv)
+    if argv[0] not in SUBCOMMANDS:
+        # The legacy form: a query that trains fresh and never touches the registry.
+        argv = ["query", *argv, "--retrain", "--no-save"]
+    args = build_cli_parser().parse_args(argv)
+    handler = {
+        "train": _cmd_train,
+        "query": _cmd_query,
+        "predict-model": _cmd_predict_model,
+        "tune": _cmd_tune,
+        "compare": _cmd_compare,
+        "onboard": _cmd_onboard,
+        "fleet": _cmd_fleet,
+        "daemon": _cmd_daemon,
+        "client": _cmd_client,
+        "list": _cmd_list,
+    }[args.command]
+    try:
+        return handler(args)
+    except ReproError as error:  # e.g. a missing --checkpoint path
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

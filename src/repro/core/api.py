@@ -185,7 +185,6 @@ class CDMPP:
         device: Union[str, DeviceSpec],
         batch_size: int = 1,
         seed: int | str | None = 0,
-        cost_fn=None,
         compose: str = "replay",
     ) -> EndToEndPrediction:
         """Predict the end-to-end latency of a DNN model on a device.
@@ -193,11 +192,11 @@ class CDMPP:
         The model is dissected into a TIR data-flow graph, the predictor is
         queried once per unique tensor program, and the replayer simulates
         the execution order (Algorithm 2) to produce the iteration time.
-        ``cost_fn`` overrides where per-kernel costs come from (the serving
-        layer routes them through its cache); the default queries this
-        facade's predictor directly.  ``compose`` picks the composition mode
-        (``"replay"`` critical-path simulation, ``"serial"`` serial sum — see
-        :func:`repro.replay.compose_latencies`).
+        ``compose`` picks the composition mode (``"replay"`` critical-path
+        simulation, ``"serial"`` serial sum — see
+        :func:`repro.replay.compose_latencies`).  Served whole-model answers
+        (batched and cached across queries and devices) come from
+        :class:`repro.serving.FleetService` instead.
         """
         from repro.graph.zoo import build_model
         from repro.replay.e2e import predict_end_to_end
@@ -207,7 +206,7 @@ class CDMPP:
         outcome = predict_end_to_end(
             graph,
             device_spec,
-            cost_fn=cost_fn or (lambda programs: self.predict_programs(programs, device_spec)),
+            cost_fn=lambda programs: self.predict_programs(programs, device_spec),
             seed=seed,
             compose=compose,
         )

@@ -2,12 +2,13 @@
 
 The serving layer is the "query many" half of the paper's train-once /
 query-many workflow: :class:`ModelRegistry` persists trained cost models,
-:class:`PredictionService` answers program- and model-level latency queries
-by micro-batching them into vectorized predictor calls behind an LRU
+:class:`PredictionService` answers program-level latency queries by
+micro-batching them into vectorized predictor calls behind an LRU
 feature/prediction cache, and :class:`FleetService` layers the graph-level
 tier on top — partition a model into kernels, batch the kernel queries of a
 whole device fleet into one flush, and compose per-device end-to-end
-estimates (see :mod:`repro.serving.fleet`).
+estimates (see :mod:`repro.serving.fleet`).  Whole-model answers are served
+by :class:`FleetService` alone, for one device or many.
 
 On top of the in-process tiers sits the network tier:
 :class:`ServingDaemon` wraps a fleet behind an async TCP request queue with

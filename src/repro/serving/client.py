@@ -11,7 +11,9 @@ bad request.
 The client tags every request with a monotonically increasing ``id`` and
 matches responses by that id, buffering out-of-order arrivals — the daemon's
 device shards answer independently, so pipelined responses may interleave.
-One client instance may be shared across threads (each call holds the
+A call that outlives ``timeout_s`` raises :class:`ServingError` naming its
+request id; its late response is dropped on arrival, so the client stays
+usable.  One client instance may be shared across threads (each call holds the
 client lock for its full round-trip); for *concurrent* in-flight requests,
 open one client per thread — connections are cheap.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ServingError
 from repro.serving.protocol import E_OVERLOADED, MessageStream
@@ -55,8 +57,11 @@ class DaemonClient:
         self._lock = threading.Lock()
         self._next_id = 0  # guarded-by: _lock
         self._responses: Dict[Any, Dict[str, Any]] = {}  # guarded-by: _lock
+        # Ids of timed-out calls; their late responses are dropped on arrival.
+        self._abandoned: Set[Any] = set()  # guarded-by: _lock
         self.host = host
         self.port = port
+        self.timeout_s = timeout_s
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -69,10 +74,21 @@ class DaemonClient:
             if not self._stream.send(request):
                 raise ServingError("daemon connection is closed")
             while request_id not in self._responses:
-                response = self._stream.recv()
+                try:
+                    response = self._stream.recv()
+                except socket.timeout as error:
+                    self._abandoned.add(request_id)
+                    raise ServingError(
+                        f"request {request_id} timed out after {self.timeout_s:g} s "
+                        "waiting for the daemon"
+                    ) from error
                 if response is None:
                     raise ServingError("daemon closed the connection mid-request")
-                self._responses[response.get("id")] = response
+                response_id = response.get("id")
+                if response_id in self._abandoned:
+                    self._abandoned.discard(response_id)
+                else:
+                    self._responses[response_id] = response
             response = self._responses.pop(request_id)
         if response.get("ok"):
             return response

@@ -43,7 +43,7 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.devices.spec import DeviceSpec, get_device
@@ -193,7 +193,7 @@ class _Fanout:
         if self._op == "tune":
             return [tuning.to_dict() for tuning in self._results]
         results = sorted(self._results, key=lambda p: p.predicted_latency_s)
-        return [_prediction_fields(p) for p in results]
+        return [prediction_fields(p) for p in results]
 
     # requires-lock: _lock
     def _payload(self) -> Dict[str, Any]:
@@ -213,7 +213,8 @@ class _Fanout:
         )
 
 
-def _prediction_fields(prediction: FleetPrediction) -> Dict[str, Any]:
+def prediction_fields(prediction: FleetPrediction) -> Dict[str, Any]:
+    """The wire fields of one answer (a query, or one device of a fanout)."""
     return {
         "network": prediction.model,
         "device": prediction.device,
@@ -943,7 +944,7 @@ class ServingDaemon:
                 op="query",
                 batch_size=item.batch_size,
                 tier=item.tier,
-                **_prediction_fields(prediction),
+                **prediction_fields(prediction),
             ),
         )
 
@@ -1003,24 +1004,7 @@ class ServingDaemon:
 
     def _stats_payload(self, request_id: Any) -> Dict[str, Any]:
         with self._stats_lock:
-            daemon = {
-                "connections": self.stats.connections,
-                "requests": self.stats.requests,
-                "queries": self.stats.queries,
-                "model_queries": self.stats.model_queries,
-                "tune_queries": self.stats.tune_queries,
-                "health_checks": self.stats.health_checks,
-                "stats_requests": self.stats.stats_requests,
-                "responses": self.stats.responses,
-                "batches": self.stats.batches,
-                "rejected_overloaded": self.stats.rejected_overloaded,
-                "shed_deadline": self.stats.shed_deadline,
-                "rejected_shutting_down": self.stats.rejected_shutting_down,
-                "bad_requests": self.stats.bad_requests,
-                "internal_errors": self.stats.internal_errors,
-                "fast_tier_requests": self.stats.fast_tier_requests,
-                "accurate_tier_requests": self.stats.accurate_tier_requests,
-            }
+            daemon: Dict[str, Any] = asdict(self.stats)
         daemon["pending"] = self.pending
         daemon["uptime_s"] = self._uptime_s()
         shards = {}

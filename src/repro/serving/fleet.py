@@ -29,13 +29,15 @@ Build a fleet from registry checkpoints with :meth:`FleetService.from_registry`
 (devices naming the same checkpoint share one in-memory model via
 ``ModelRegistry.load_shared``), then ask :meth:`FleetService.predict_model`
 for one device or :meth:`FleetService.predict_model_fleet` for a ranked
-answer across every registered device.
+answer across every registered device.  Both go through
+:meth:`FleetService.predict_model_batch`, the one serving path for
+whole-model answers.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -273,9 +275,7 @@ class FleetService:
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------
-    def _resolve_targets(
-        self, devices: Optional[Sequence[str]], tier: str = DEFAULT_TIER
-    ) -> List[DeviceSpec]:
+    def _resolve_targets(self, devices: Optional[Sequence[str]]) -> List[DeviceSpec]:
         if devices is None:
             names = [name for name in self.devices if name != DEFAULT_DEVICE]
             if not names:
@@ -292,10 +292,6 @@ class FleetService:
             if spec.name not in seen:
                 seen.add(spec.name)
                 specs.append(spec)
-        for spec in specs:
-            # raises ServingError when unservable on the requested tier
-            backend = self._service.model_for(spec, tier=tier)
-            ensure_model_level(backend, ServingError, device=spec.name)
         return specs
 
     def _partition(
@@ -384,17 +380,16 @@ class FleetService:
         :class:`ModelGraph` or :class:`TIRDataFlowGraph` is predicted at the
         batch size it was built with.
         """
-        tier = validate_tier(tier)
-        specs = self._resolve_targets(devices, tier=tier)
-        with self._stats_lock:
-            if len(specs) > 1:
-                self.stats.fanout_queries += 1
+        specs = self._resolve_targets(devices)
         results = self.predict_model_batch(
             [(model, spec, batch_size) for spec in specs],
             seed=seed,
             compose=compose,
             tier=tier,
         )
+        if len(specs) > 1:
+            with self._stats_lock:
+                self.stats.fanout_queries += 1
         results.sort(key=lambda prediction: prediction.predicted_latency_s)
         return results
 
@@ -508,15 +503,7 @@ class FleetService:
     def describe_stats(self) -> Dict[str, object]:
         """Fleet counters plus the shared kernel service's counters."""
         with self._stats_lock:
-            counters = {
-                "model_queries": self.stats.model_queries,
-                "fanout_queries": self.stats.fanout_queries,
-                "partitions": self.stats.partitions,
-                "partition_cache_hits": self.stats.partition_cache_hits,
-                "devices_onboarded": self.stats.devices_onboarded,
-                "fast_tier_model_queries": self.stats.fast_tier_model_queries,
-                "accurate_tier_model_queries": self.stats.accurate_tier_model_queries,
-            }
+            counters: Dict[str, object] = asdict(self.stats)
         counters["kernel_service"] = self._service.describe_stats()
         return counters
 

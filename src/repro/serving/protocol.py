@@ -149,10 +149,12 @@ class MessageStream:
                 return False
 
     def recv(self) -> Optional[Dict[str, Any]]:
-        """Read one message; None on clean EOF.
+        """Read one message; None on clean EOF or a broken connection.
 
         Raises :class:`ProtocolError` on non-JSON input or an oversized line
-        (the connection should be dropped by the caller).
+        (the connection should be dropped by the caller).  ``socket.timeout``
+        propagates when the socket has a timeout and it elapses; a partial
+        line stays buffered, so a later call resumes it.
         """
         line = b""
         while not line:  # skip blank keep-alive lines
@@ -163,6 +165,8 @@ class MessageStream:
                     )
                 try:
                     chunk = self._sock.recv(65536)
+                except socket.timeout:
+                    raise
                 except OSError:
                     return None
                 if not chunk:

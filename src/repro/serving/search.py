@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.devices.spec import DeviceSpec, get_device
@@ -133,15 +133,6 @@ class SearchServiceStats:
     searches_run: int = 0
     programs_scored: int = 0
     measurements: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "tasks_tuned": self.tasks_tuned,
-            "cache_hits": self.cache_hits,
-            "searches_run": self.searches_run,
-            "programs_scored": self.programs_scored,
-            "measurements": self.measurements,
-        }
 
 
 class SearchService:
@@ -404,7 +395,7 @@ class SearchService:
     def describe_stats(self) -> Dict[str, object]:
         """Search counters plus the search cache's hit/miss/eviction counters."""
         with self._lock:
-            counters: Dict[str, object] = dict(self.stats.as_dict())
+            counters: Dict[str, object] = asdict(self.stats)
         counters["search_cache"] = self.cache.describe_stats()
         return counters
 

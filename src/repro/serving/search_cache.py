@@ -30,7 +30,7 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,14 +61,6 @@ class SearchCacheStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-        }
 
 
 class SearchCache:
@@ -208,7 +200,7 @@ class SearchCache:
 
     def describe_stats(self) -> Dict[str, int]:
         with self._lock:
-            return self._stats.as_dict()
+            return asdict(self._stats)
 
     # ------------------------------------------------------------------
     # Disk backing

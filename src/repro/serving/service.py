@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import CostModel, as_cost_model, ensure_model_level
-from repro.core.api import CDMPP, EndToEndPrediction
+from repro.backends import CostModel, as_cost_model
+from repro.core.api import CDMPP
 from repro.core.trainer import Trainer
 from repro.devices.spec import DeviceSpec
 from repro.errors import ServingError, TrainingError
@@ -454,53 +454,6 @@ class PredictionService:
         """Latency (seconds) of one program (cache-accelerated)."""
         return float(self.predict([program], device, tier=tier)[0])
 
-    def predict_model(
-        self,
-        model: Union[str, object],
-        device: Union[str, DeviceSpec],
-        batch_size: int = 1,
-        seed: Union[int, str, None] = 0,
-        compose: str = "replay",
-        tier: str = DEFAULT_TIER,
-    ) -> EndToEndPrediction:
-        """End-to-end model latency through the replayer, cost from this service.
-
-        Same contract as :meth:`repro.core.api.CDMPP.predict_model`, but every
-        per-kernel cost query goes through the batch-and-cache path, so
-        repeated whole-model queries (capacity planning sweeps, placement
-        search) reuse each other's kernels.  Works with any serving backend
-        whose Table 1 row claims model-level support; op-level-only backends
-        (e.g. Tiramisu) are refused instead of silently mis-served.
-        """
-        from repro.devices.spec import get_device
-        from repro.graph.model import ModelGraph
-        from repro.graph.zoo import build_model
-        from repro.replay.e2e import predict_end_to_end
-
-        tier = validate_tier(tier)
-        device_spec = get_device(device) if isinstance(device, str) else device
-        backend = self.model_for(device_spec, tier=tier)
-        ensure_model_level(backend, ServingError)
-
-        def cost_fn(programs: List[TensorProgram]) -> Dict[str, float]:
-            values = self.predict(programs, device_spec, tier=tier)
-            return {
-                program.task.workload_key: float(value)
-                for program, value in zip(programs, values)
-            }
-
-        graph = model if isinstance(model, ModelGraph) else build_model(model, batch_size=batch_size)
-        outcome = predict_end_to_end(
-            graph, device_spec, cost_fn=cost_fn, seed=seed, compose=compose
-        )
-        return EndToEndPrediction(
-            model=graph.name,
-            device=device_spec.name,
-            predicted_latency_s=outcome.iteration_time_s,
-            per_program_latency_s=dict(outcome.durations),
-            num_nodes=len(graph),
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -514,14 +467,7 @@ class PredictionService:
         """All serving counters plus both cache summaries, as a plain dict."""
         with self._lock:
             return {
-                "queries": self.stats.queries,
-                "coalesced": self.stats.coalesced,
-                "flushes": self.stats.flushes,
-                "batches": self.stats.batches,
-                "programs_featurized": self.stats.programs_featurized,
-                "predictions_computed": self.stats.predictions_computed,
-                "fast_tier_queries": self.stats.fast_tier_queries,
-                "accurate_tier_queries": self.stats.accurate_tier_queries,
+                **asdict(self.stats),
                 "fast_devices": self.fast_devices,
                 "feature_cache": self.feature_cache.stats(),
                 "prediction_cache": self.prediction_cache.stats(),

@@ -9,7 +9,9 @@ faster.  This module builds the same inputs every time and computes:
 * the ``PredictionService`` answers for those programs: a cold pass, a
   reversed pass answered from the warm feature cache, and a fast-tier pass
   from a distilled student;
-* ``SearchService.tune_model`` results for resnet50 at two seeds.
+* ``SearchService.tune_model`` results for resnet50 at two seeds;
+* whole-model answers of every zoo network on three devices and both
+  composition modes, from each whole-model entry point.
 
 The checkpoints the answers come from are recorded next to them, so the
 golden test never depends on training being reproducible.  Record (from a
@@ -40,6 +42,9 @@ SCHEDULES_PER_TASK = 2
 TUNE_SEEDS = (0, 1)
 TUNE_BUDGET = {"num_rounds": 1, "population": 8, "measurements_per_round": 2}
 FEATURE_ARRAYS = ("x", "mask", "leaf_counts", "device_features")
+#: Whole-model cases: a GPU, a CPU and a multi-engine accelerator.
+MODEL_DEVICES = ("t4", "e5-2673", "hl100")
+MODEL_COMPOSE = ("replay", "serial")
 
 
 def platform_tag() -> Dict[str, str]:
@@ -129,6 +134,52 @@ def tune_answers(teacher) -> Dict[str, dict]:
     return answers
 
 
+def _model_answer(latency_s: float, per_kernel_s: Dict[str, float], **extra) -> dict:
+    return {"latency_s": latency_s, **extra, "per_kernel_s": per_kernel_s}
+
+
+def model_answers(teacher) -> Dict[str, dict]:
+    """Whole-model answers per network, device and composition mode.
+
+    ``fleet`` is one ``FleetService.predict_model_batch`` over all three
+    devices, ``facade`` is ``CDMPP.predict_model`` and ``query`` is what
+    ``cdmpp query`` serves: a fresh one-device ``FleetService`` answering a
+    built model graph.  The ``query`` answers were recorded from
+    ``PredictionService.predict_model``, the separate whole-model path that
+    ``cdmpp query`` used before it was removed.
+    """
+    from repro.core.api import CDMPP
+    from repro.graph.zoo import build_model, list_models
+    from repro.serving import FleetService
+
+    facade = CDMPP.from_trainer(teacher.trainer)
+    answers = {}
+    for network in list_models():
+        for compose in MODEL_COMPOSE:
+            fleet = FleetService({device: teacher for device in MODEL_DEVICES})
+            batch = fleet.predict_model_batch(
+                [(network, device, 1) for device in MODEL_DEVICES], compose=compose
+            )
+            for device, prediction in zip(MODEL_DEVICES, batch):
+                name = f"{network}/{device}/{compose}"
+                answers[f"{name}/fleet"] = _model_answer(
+                    prediction.predicted_latency_s,
+                    prediction.per_kernel_latency_s,
+                    serial_latency_s=prediction.serial_latency_s,
+                )
+                e2e = facade.predict_model(network, device, compose=compose)
+                answers[f"{name}/facade"] = _model_answer(
+                    e2e.predicted_latency_s, e2e.per_program_latency_s
+                )
+                query = FleetService({device: teacher}).predict_model(
+                    build_model(network, batch_size=1), device, compose=compose
+                )
+                answers[f"{name}/query"] = _model_answer(
+                    query.predicted_latency_s, query.per_kernel_latency_s
+                )
+    return answers
+
+
 def load_models(directory: Path = GOLDEN_DIR):
     """The recorded teacher and student backends."""
     from repro.backends.cdmpp import CDMPPBackend
@@ -192,6 +243,7 @@ def record(directory: Path) -> None:
         "platform": platform_tag(),
         "served": served_answers(cases, teacher, student),
         "tuned": tune_answers(teacher),
+        "models": model_answers(teacher),
     }
     (directory / ANSWERS_FILE).write_text(json.dumps(payload, indent=1) + "\n")
 

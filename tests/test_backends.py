@@ -312,19 +312,12 @@ class TestServingAcrossBackends:
     def test_model_level_queries_through_two_backends(
         self, trained_trainer, fitted_backends
     ):
-        service = PredictionService(
-            {"t4": fitted_backends["xgboost"], "k80": trained_trainer}
-        )
-        via_xgb = service.predict_model("bert_tiny", "t4", seed=0)
-        via_cdmpp = service.predict_model("bert_tiny", "k80", seed=0)
+        fleet = FleetService({"t4": fitted_backends["xgboost"], "k80": trained_trainer})
+        via_xgb = fleet.predict_model("bert_tiny", "t4", seed=0)
+        via_cdmpp = fleet.predict_model("bert_tiny", "k80", seed=0)
         assert via_xgb.predicted_latency_s > 0
         assert via_cdmpp.predicted_latency_s > 0
         assert via_xgb.model == via_cdmpp.model == "bert_tiny"
-
-    def test_op_level_only_backend_refuses_model_queries(self, fitted_backends):
-        service = PredictionService(fitted_backends["tiramisu"])
-        with pytest.raises(ServingError, match="op-level only"):
-            service.predict_model("bert_tiny", "t4", seed=0)
 
     def test_unfitted_backend_rejected_by_service(self):
         with pytest.raises(ServingError, match="unfitted"):

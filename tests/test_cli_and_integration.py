@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.core.api import CDMPP
 from repro.core.finetune import FineTuner
 from repro.core.metrics import mape
@@ -33,11 +33,16 @@ def isolated_trainer(t4_features):
 
 
 class TestCLI:
-    def test_parser_accepts_positional_arguments(self):
-        args = build_parser().parse_args(["bert_tiny", "1", "t4", "--scale", "tiny"])
-        assert args.network == "bert_tiny"
-        assert args.batch_size == 1
-        assert args.device == "t4"
+    def test_parser_accepts_positional_arguments(self, monkeypatch):
+        # The legacy form is `cdmpp query ... --retrain --no-save`.
+        seen = []
+        monkeypatch.setattr("repro.cli._cmd_query", lambda args: seen.append(args) or 0)
+        assert main(["bert_tiny", "1", "t4", "--scale", "tiny"]) == 0
+        (args,) = seen
+        assert args.command == "query"
+        assert (args.network, args.batch_size, args.device) == ("bert_tiny", 1, "t4")
+        assert args.scale == "tiny"
+        assert args.retrain and args.no_save
 
     def test_unknown_network_returns_error_code(self, capsys):
         assert main(["alexnet", "1", "t4"]) == 2
@@ -46,12 +51,16 @@ class TestCLI:
     def test_unknown_device_returns_error_code(self):
         assert main(["bert_tiny", "1", "tpu-v4"]) == 2
 
-    def test_full_query_runs_at_tiny_scale(self, capsys):
+    def test_full_query_runs_at_tiny_scale(self, capsys, monkeypatch, tmp_path):
+        registry = tmp_path / "registry"
+        monkeypatch.setenv("CDMPP_REGISTRY", str(registry))
         exit_code = main(["bert_tiny", "1", "t4", "--scale", "tiny", "--seed", "0"])
         assert exit_code == 0
         output = capsys.readouterr().out
+        assert "training a tiny-scale cost model" in output
         assert "predicted latency" in output
         assert "relative error" in output
+        assert not registry.exists()  # the legacy form never touches the registry
 
 
 class TestCLISubcommands:
@@ -69,7 +78,7 @@ class TestCLISubcommands:
         assert "training a tiny-scale cost model" not in second
         assert "predicted latency" in second
 
-    def test_train_then_query_and_serve_share_the_checkpoint(self, capsys, tmp_path, monkeypatch):
+    def test_train_then_query_and_fleet_share_the_checkpoint(self, capsys, tmp_path, monkeypatch):
         import io
 
         registry = str(tmp_path / "registry")
@@ -82,11 +91,12 @@ class TestCLISubcommands:
         assert "loading pre-trained model" in capsys.readouterr().out
 
         monkeypatch.setattr("sys.stdin", io.StringIO("bert_tiny 1\nbert_tiny 1\n"))
-        assert main(["serve", "t4", "--scale", "tiny", "--registry", registry]) == 0
+        assert main(["fleet", "--devices", "t4", "--scale", "tiny", "--registry", registry]) == 0
         served = capsys.readouterr().out
-        assert "loading pre-trained model" in served
-        assert "served 2 queries" in served
-        assert "cache hit rate" in served
+        assert "fleet of 1 device(s)" in served and "t4<-t4-tiny" in served
+        assert "training" not in served
+        assert "served 2 model queries" in served
+        assert "cache hit rate 50%" in served
 
     def test_list_subcommand(self, capsys):
         assert main(["list"]) == 0

@@ -419,6 +419,41 @@ class TestProtocolErrors:
             right.close()
 
 
+class TestClientTimeout:
+    """A timed-out call says so, and its late answer never leaks."""
+
+    def test_late_response_is_discarded_after_a_timeout(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def serve_late() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                stream = MessageStream(conn)
+                first = stream.recv()
+                release.wait(10.0)  # answer only once the client gave up
+                stream.send({"ok": True, "id": first["id"], "status": "late"})
+                second = stream.recv()
+                stream.send({"ok": True, "id": second["id"], "status": "ok"})
+
+        server = threading.Thread(target=serve_late, daemon=True)
+        server.start()
+        try:
+            client = DaemonClient(*listener.getsockname(), timeout_s=0.2)
+            with client:
+                with pytest.raises(ServingError, match=r"request 1 timed out after 0\.2 s"):
+                    client.health()
+                release.set()
+                response = client.health()
+                assert response["id"] == 2 and response["status"] == "ok"
+                assert client._responses == {}
+                assert client._abandoned == set()
+        finally:
+            release.set()
+            server.join(timeout=10.0)
+            listener.close()
+
+
 class TestTcpNoDelay:
     """Small answers must not wait for the peer's delayed ACK (Nagle)."""
 

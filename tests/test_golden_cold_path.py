@@ -3,7 +3,8 @@
 ``tests/data`` holds feature arrays, served predictions and tuning results
 recorded by ``tests/golden_cases.py`` before the cold path was optimised
 (hoisted statement features, single-walk leaf positions, compact feature
-rows, memoised task lists).  Feature arrays are plain scalar arithmetic and
+rows, memoised task lists), plus whole-model answers recorded before the
+duplicate whole-model serving path was removed.  Feature arrays are plain scalar arithmetic and
 must match bit for bit everywhere.  Predictions and tunings also match bit
 for bit on the platform that recorded them; elsewhere a different BLAS may
 sum in a different order, so they are held to a relative 1e-9 instead.
@@ -80,3 +81,19 @@ def test_tune_model_results_match(models, recorded, same_platform):
                 assert mine == theirs
             else:
                 _assert_floats(mine["tuned_latency_s"], theirs["tuned_latency_s"], exact=False)
+
+
+def test_whole_model_answers_match(models, recorded, same_platform):
+    teacher, _ = models
+    actual = golden.model_answers(teacher)
+    assert sorted(actual) == sorted(recorded["models"])
+    for name, expected in recorded["models"].items():
+        got = actual[name]
+        assert list(got) == list(expected)
+        assert list(got["per_kernel_s"]) == list(expected["per_kernel_s"])
+        for field, value in expected.items():
+            if field == "per_kernel_s":
+                got_values, value = list(got[field].values()), list(value.values())
+            else:
+                got_values = got[field]
+            _assert_floats(got_values, value, exact=same_platform)

@@ -169,11 +169,6 @@ class TestPredictionService:
         with pytest.raises(ServingError):
             service.submit(query_programs[0], "k80")
 
-    def test_predict_model_matches_facade(self, service, trained_trainer):
-        facade = CDMPP.from_trainer(trained_trainer).predict_model("bert_tiny", "t4", seed=0)
-        served = service.predict_model("bert_tiny", "t4", seed=0)
-        assert served.predicted_latency_s == pytest.approx(facade.predicted_latency_s, rel=1e-9)
-
 
 class TestPerProgramPredictions:
     """Regression: programs sharing a workload key must not collapse."""

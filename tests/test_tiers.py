@@ -149,9 +149,9 @@ class TestDistilledBackend:
         _, _, test = t4_features
         teacher_mape = trained_trainer.evaluate(test)["mape"]
         student_mape = fast_student.evaluate_features(test)["mape"]
-        # Acceptance bound from the tiered-serving issue: the student may lose
-        # at most 10 MAPE points to its teacher on held-out data.
-        assert student_mape <= teacher_mape + 10.0
+        # The student may lose at most 10 MAPE points to its teacher on
+        # held-out data; mape is a fraction, so 10 points is 0.10.
+        assert student_mape <= teacher_mape + 0.10
 
 
 class TestDaemonTiers:
