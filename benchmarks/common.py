@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Callable, Dict, Sequence
 
 # The scale knobs of the benchmark suite.  They are deliberately small enough
 # that the whole suite runs in a few minutes on a laptop CPU; raise them for

@@ -7,7 +7,6 @@ benchmark so the whole suite stays in the minutes range.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.common import (

@@ -8,7 +8,7 @@ overlap) of their 2-D projection.
 import numpy as np
 import pytest
 
-from benchmarks.common import BENCH_FINETUNE_EPOCHS, BENCH_SEED, print_table, run_once
+from benchmarks.common import BENCH_FINETUNE_EPOCHS, print_table, run_once
 from benchmarks.conftest import BENCH_PREDICTOR
 from repro.analysis.projection import domain_overlap, pca_project
 from repro.core.cmd import cmd_distance

@@ -4,8 +4,6 @@ The paper shows the raw latency distribution has a long tail and that the
 Box-Cox transformation produces the most normal/symmetric distribution.
 """
 
-import numpy as np
-
 from benchmarks.common import print_table, run_once
 from repro.analysis.distribution import normality_score, skewness
 from repro.core.transforms import make_transform

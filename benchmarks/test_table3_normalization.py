@@ -5,7 +5,6 @@ labels on three devices; Box-Cox gives the lowest error and raw labels the
 highest (the model collapses toward the mean of the skewed distribution).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.common import print_table, run_once

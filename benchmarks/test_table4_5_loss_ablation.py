@@ -13,7 +13,7 @@ from benchmarks.common import print_table, run_once
 from benchmarks.conftest import BENCH_PREDICTOR, bench_training_config
 from repro.core.trainer import Trainer
 from repro.features.pipeline import featurize_records
-from repro.nn.losses import mape_loss, mse_loss, mspe_loss
+from repro.nn.losses import mse_loss
 from repro.nn.tensor import Tensor
 
 DEVICES = ("t4",)

@@ -167,7 +167,7 @@ def test_tiered_predict_throughput(benchmark, tier_setup):
     # to the in-process fleet serving the same checkpoint.
     fleet = FleetService({"t4": trainer})
     reference = fleet.predict_model("bert_tiny", device="t4", batch_size=1, seed=0)
-    with ServingDaemon({"t4": trainer}, DaemonConfig(port=0, max_wait_ms=5.0)) as daemon:
+    with ServingDaemon({"t4": trainer}, DaemonConfig(port=0)) as daemon:
         host, port = daemon.address
         with DaemonClient(host, port) as client:
             wire = client.query("bert_tiny", device="t4", seed=0, tier="accurate")

@@ -4,9 +4,9 @@
 Trains one tiny cost model per device on the first run and registers both;
 every later run loads the checkpoints and goes straight to serving.  A
 ServingDaemon then serves the two-device fleet on an ephemeral local port
-while several concurrent clients query it — requests coalesce in the
-per-device micro-batching window — and every wire answer is checked
-bit-identical against a direct in-process FleetService call.  Finally the
+while several concurrent clients query it — requests that queue while a
+device shard is busy coalesce into its next batch — and every wire answer
+is checked bit-identical against a direct in-process FleetService call.  Finally the
 daemon drains gracefully and the run prints what the batcher did.
 
 Run with:  PYTHONPATH=src python examples/daemon_quickstart.py [--registry DIR]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.config import TrainingConfig
 from repro.core.scale import get_scale
 from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from repro.errors import ReproError
 from repro.profiler.records import MeasureRecord
@@ -39,6 +38,8 @@ def latency_distribution(records: Sequence[MeasureRecord]) -> np.ndarray:
 
 def skewness(values: np.ndarray) -> float:
     """Sample skewness (large positive values = long right tail)."""
+    from scipy import stats as sstats
+
     return float(sstats.skew(np.asarray(values, dtype=np.float64)))
 
 
@@ -52,6 +53,8 @@ def normality_score(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.size < 8:
         raise ReproError("need at least 8 samples for a normality score")
+    from scipy import stats as sstats
+
     skew = abs(float(sstats.skew(values)))
     kurt = abs(float(sstats.kurtosis(values)))
     return float(1.0 / (1.0 + skew + 0.25 * kurt))

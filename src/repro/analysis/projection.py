@@ -9,8 +9,6 @@ eye-balling scatter plots.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.errors import ReproError

@@ -26,6 +26,8 @@ inference-autograd     serving hot paths building autograd graphs — the tiered
                        inference refactor moved serving onto the graph-free
                        ``Module.infer`` path; a stray ``Tensor(...)`` or
                        ``.forward(...)`` silently reintroduces tape overhead
+unused-import          imports left behind by deleted code (83 across the
+                       tree when the rule landed)
 =====================  ========================================================
 
 See ``docs/analysis.md`` for the full catalogue and the annotation syntax.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.lint import (
     FileContext,
@@ -55,6 +57,7 @@ __all__ = [
     "ProtocolConformanceRule",
     "BroadExceptRule",
     "InferenceAutogradRule",
+    "UnusedImportRule",
 ]
 
 
@@ -946,3 +949,60 @@ class InferenceAutogradRule(Rule):
                     "the serving hot path; call the inference-mode entry point "
                     "(Module.infer / predictor.infer) instead",
                 )
+
+
+# ---------------------------------------------------------------------------
+# unused-import
+# ---------------------------------------------------------------------------
+
+#: ``# noqa`` alone, or a ``# noqa:`` list naming F401 (unused import).
+_NOQA_F401_RE = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b")
+
+
+@register_rule
+class UnusedImportRule(Rule):
+    """Every imported name is referenced somewhere in its module.
+
+    Skipped: package ``__init__.py`` files (they re-export), names listed in
+    ``__all__``, and imports marked ``# noqa: F401`` (kept for a side
+    effect).  Names inside string annotations (``"Trainer"``) count as used.
+    """
+
+    id = "unused-import"
+    severity = "error"
+    description = "no imported names that the module never references"
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.path.name == "__init__.py":
+            return
+        used = {node.id for node in ast.walk(ctx.tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(ctx.tree):
+            annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    try:
+                        expr = ast.parse(part.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                elements = getattr(node.value, "elts", ())
+                used.update(e.value for e in elements if isinstance(e, ast.Constant))
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if _NOQA_F401_RE.search(ctx.comments.get(node.lineno, "")):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and bound not in used:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"{bound!r} is imported but never used; delete the import "
+                        "(or list the name in __all__ if it is re-exported)",
+                    )

@@ -12,7 +12,7 @@ ranking.  This implementation reproduces exactly that behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

@@ -437,10 +437,10 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "run a long-lived TCP serving daemon with deadline-aware batching",
         "example:\n  cdmpp daemon --devices t4,k80 --port 7077 --scale tiny --train-missing\n\n"
         "Serves the fleet over line-delimited JSON on TCP (see docs/daemon.md\n"
-        "for the wire protocol). Concurrent clients' queries are micro-batched\n"
-        "per device shard: a batch flushes when full (--max-batch-size) or\n"
-        "when its oldest request has waited --max-wait-ms. Requests carrying\n"
-        "a deadline_ms jump the queue and are shed with 'deadline_exceeded'\n"
+        "for the wire protocol). Each device shard serves as soon as it is\n"
+        "free: the queries that queued while it was busy form its next batch,\n"
+        "up to --max-batch-size. Requests carrying a deadline_ms are served\n"
+        "first (earliest deadline first) and are shed with 'deadline_exceeded'\n"
         "once expired; beyond --queue-limit queued requests new work is\n"
         "rejected with 'overloaded' + retry_after_ms. SIGTERM/SIGINT drain\n"
         "queued work before exiting.",
@@ -458,13 +458,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "--max-batch-size",
         type=int,
         default=32,
-        help="flush a device shard's batch at this many queued requests",
-    )
-    daemon.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=10.0,
-        help="flush a shard once its oldest request has waited this long",
+        help="most queued requests one device shard batch may take",
     )
     daemon.add_argument(
         "--queue-limit",
@@ -1292,7 +1286,6 @@ def _cmd_daemon(args) -> int:
             host=args.host,
             port=args.port,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             queue_limit=args.queue_limit,
             default_deadline_ms=args.default_deadline_ms,
             seed=args.seed,

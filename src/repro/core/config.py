@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.features.compact_ast import COMPUTATION_VECTOR_LENGTH

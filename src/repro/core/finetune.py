@@ -211,6 +211,7 @@ class FineTuner:
         result.throughput_samples_per_s = samples / max(result.train_seconds, 1e-9)
         if best_state is not None and result.best_valid_mape < float("inf"):
             predictor.load_state_dict(best_state)
+        predictor.eval()
         return result
 
     def latent_cmd(self, source: FeatureSet, target: FeatureSet) -> float:

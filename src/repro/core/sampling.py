@@ -10,7 +10,7 @@ target device.  Random sampling is the baseline of Fig. 13.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 

@@ -61,6 +61,9 @@ class Trainer:
         self.predictor = predictor or CDMPPPredictor(
             predictor_config or PredictorConfig(), seed=config.seed
         )
+        # Eval mode except inside a training loop (which restores it at its
+        # end), so predict and latent need no per-call walk over submodules.
+        self.predictor.eval()
         self.transform: LabelTransform = make_transform(config.label_transform)
         self._rng = new_rng(config.seed)
         self._fitted = False
@@ -207,6 +210,7 @@ class Trainer:
         result.throughput_samples_per_s = samples_seen / max(elapsed, 1e-9)
         if valid is not None and len(valid) > 0 and result.best_valid_mape < float("inf"):
             self.predictor.load_state_dict(best_state)
+        self.predictor.eval()
         return result
 
     def clone(self) -> "Trainer":
@@ -262,7 +266,6 @@ class Trainer:
             raise TrainingError("Trainer.predict called before fit()")
         if batch_size is not None and batch_size <= 0:
             raise TrainingError(f"predict batch_size must be positive, got {batch_size}")
-        self.predictor.eval()
         normalized = self._normalize(features)
         transformed = self.predictor.predict_transformed(
             normalized, batch_size=min(batch_size or 256, 256), dtype=dtype
@@ -295,5 +298,4 @@ class Trainer:
         """Latent representations (used by CMD analysis and task sampling)."""
         if not self._fitted:
             raise TrainingError("Trainer.latent called before fit()")
-        self.predictor.eval()
         return self.predictor.encode_features(self._normalize(features))

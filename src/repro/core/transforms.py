@@ -9,6 +9,9 @@ implemented for the Table 3 ablation.
 
 Every transform also standardises (zero mean, unit variance) after the power
 mapping so the regression head always sees well-scaled targets.
+
+``scipy.stats`` (about 0.5 s to import) is imported only where a fit or a
+forward transform needs it: a served model runs just the numpy inverses.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import TrainingError
 
@@ -116,6 +118,8 @@ class BoxCoxTransform(LabelTransform):
         if y.size < 4 or float(y.std()) < 1e-12 * max(float(y.mean()), 1e-30):
             self.lambda_ = 0.0
             return
+        from scipy import stats
+
         try:
             fitted = float(stats.boxcox_normmax(y, method="mle"))
         except Exception:
@@ -127,6 +131,8 @@ class BoxCoxTransform(LabelTransform):
     def _forward(self, y: np.ndarray) -> np.ndarray:
         if self.lambda_ is None:
             raise TrainingError("BoxCoxTransform.transform called before fit")
+        from scipy import stats
+
         return stats.boxcox(np.maximum(y, 1e-12), lmbda=self.lambda_)
 
     def _inverse(self, y: np.ndarray) -> np.ndarray:
@@ -151,11 +157,15 @@ class YeoJohnsonTransform(LabelTransform):
         self.lambda_: Optional[float] = None
 
     def _fit_mapping(self, y: np.ndarray) -> None:
+        from scipy import stats
+
         self.lambda_ = float(stats.yeojohnson_normmax(y))
 
     def _forward(self, y: np.ndarray) -> np.ndarray:
         if self.lambda_ is None:
             raise TrainingError("YeoJohnsonTransform.transform called before fit")
+        from scipy import stats
+
         return stats.yeojohnson(y, lmbda=self.lambda_)
 
     def _inverse(self, y: np.ndarray) -> np.ndarray:
@@ -188,6 +198,8 @@ class QuantileTransform(LabelTransform):
         self._references: Optional[np.ndarray] = None
 
     def _fit_mapping(self, y: np.ndarray) -> None:
+        from scipy import stats
+
         probs = np.linspace(0.0, 1.0, min(self.num_quantiles, max(y.size, 2)))
         self._quantiles = np.quantile(y, probs)
         # Reference points of the standard normal (clipped for stability).

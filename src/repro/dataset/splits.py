@@ -9,9 +9,7 @@ training split and evaluate on the target device's test split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import DatasetError
 from repro.profiler.records import MeasureRecord

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.devices.spec import ACCEL, CPU, GPU, DeviceSpec
 from repro.tir.program import TensorProgram
-from repro.tir.stmt import LoopKind
 from repro.utils.rng import new_rng, stable_hash
 
 # Operator families that map onto GEMM/convolution engines well.

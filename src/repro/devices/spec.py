@@ -8,7 +8,7 @@ sizes, vector width, kernel launch overhead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -10,7 +10,7 @@ import numpy as np
 from repro.errors import FeatureError
 from repro.devices.spec import DeviceSpec
 from repro.features.compact_ast import COMPUTATION_VECTOR_LENGTH, extract_compact_ast
-from repro.features.device_features import DEVICE_FEATURE_DIM, device_feature_vector
+from repro.features.device_features import device_feature_vector
 from repro.features.positional import add_positional_encoding
 from repro.profiler.records import MeasureRecord
 from repro.tir.program import TensorProgram

@@ -8,8 +8,8 @@ into a TIR-based data-flow graph; the dataset generator extracts the tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.tir.task import Task

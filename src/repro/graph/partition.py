@@ -14,7 +14,7 @@ consume, with one scheduled kernel per unique workload.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.graph.model import ModelGraph
 from repro.graph.zoo import build_model

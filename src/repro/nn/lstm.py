@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn import init
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, concatenate

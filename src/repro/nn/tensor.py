@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from scipy import special as _special

@@ -8,7 +8,7 @@ model, device name).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import DatasetError

@@ -26,7 +26,7 @@ sub-operators, each carrying 1/``gemm_engines`` of the predicted time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Union
 
 from repro.devices.simulator import DeviceSimulator
 from repro.devices.spec import ACCEL, DeviceSpec, get_device

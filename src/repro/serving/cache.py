@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Iterator, Optional, Tuple, Union
+from typing import Any, Hashable, Iterator, Tuple, Union
 
 from repro.devices.spec import DeviceSpec
 from repro.tir.program import TensorProgram

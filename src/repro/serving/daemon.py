@@ -9,13 +9,15 @@ tuners actually call from many processes at once:
   :mod:`repro.serving.protocol` over TCP; every connection gets a reader
   thread that validates requests and routes them onto bounded per-device
   queues, returning immediately to read the next pipelined request;
-* **deadline-aware micro-batching** — each device shard worker collects
-  requests until the batch is full OR the oldest request has waited
-  ``max_wait_ms``, then answers the whole batch through one
-  :meth:`FleetService.predict_model_batch` flush.  Requests carrying a
-  ``deadline_ms`` jump the queue (the batch window closes early and they are
-  served first); a request whose deadline expires while queued is **shed**
-  with ``deadline_exceeded`` instead of being answered late;
+* **work-conserving, deadline-aware micro-batching** — each device shard
+  worker sleeps only while its queue is empty; once it wakes it serves
+  everything queued (up to ``max_batch_size``) through one
+  :meth:`FleetService.predict_model_batch` flush.  Requests that arrive
+  while a batch runs form the next batch, so batches grow with load and an
+  idle shard answers at once.  Requests carrying a ``deadline_ms`` are
+  served first (earliest deadline first); a request whose deadline expires
+  while queued is **shed** with ``deadline_exceeded`` instead of being
+  answered late;
 * **concurrent per-device shard workers** — one worker thread per served
   device, each owning a single-device :class:`FleetService` over that
   device's model, so distinct models predict in parallel and one slow
@@ -74,20 +76,17 @@ import socket
 class DaemonConfig:
     """Tunables of one :class:`ServingDaemon`.
 
-    ``max_wait_ms`` trades latency for batching efficiency: a larger window
-    lets more concurrent requests coalesce into one vectorized predictor
-    call (higher throughput), a smaller one bounds the queueing delay added
-    to every request (lower p99).  ``max_batch_size`` caps how much work one
-    flush may take regardless of the window.  See ``docs/daemon.md``.
+    Batching is work-conserving: a shard serves as soon as it is free, and
+    the requests that queued meanwhile form its next batch.
+    ``max_batch_size`` caps how much work one flush may take; the rest waits
+    for the next one.  See ``docs/daemon.md``.
     """
 
     host: str = "127.0.0.1"
     #: Port to bind; 0 asks the OS for an ephemeral port (see ``address``).
     port: int = 0
-    #: Flush a shard's batch at this many requests even mid-window.
+    #: Most requests one shard flush may take; the rest form the next batch.
     max_batch_size: int = 32
-    #: Flush a shard's batch once its oldest request has waited this long.
-    max_wait_ms: float = 10.0
     #: Total queued requests across all shards; beyond it -> ``overloaded``.
     queue_limit: int = 256
     #: Hint returned with ``overloaded`` rejections.
@@ -106,8 +105,6 @@ class DaemonConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
             raise ServingError(f"max_batch_size must be positive, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ServingError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_limit <= 0:
             raise ServingError(f"queue_limit must be positive, got {self.queue_limit}")
         if self.compose not in COMPOSE_MODES:
@@ -344,67 +341,31 @@ class _ShardWorker(threading.Thread):
             self._cond.notify_all()
 
     # -- batching loop ---------------------------------------------------
-    #: How far *before* the nearest deadline the batch window closes.  A
-    #: window that closed exactly at the deadline would always wake past it
-    #: by scheduling jitter and shed the very request it tried to rescue.
-    _DEADLINE_FLUSH_LEAD_S = 0.005
-
-    # requires-lock: _cond
-    def _window_remaining(self) -> float:
-        """Seconds until this shard must flush (<= 0 = flush now).
-
-        The window closes at ``oldest arrival + max_wait_ms`` — or earlier,
-        shortly before the nearest request deadline: a request that cannot
-        afford the full window jumps the queue instead of expiring inside
-        it.
-        """
-        now = time.monotonic()
-        oldest = min(item.enqueued_at for item in self._items)
-        flush_at = oldest + self.daemon_ref.config.max_wait_ms / 1000.0
-        deadlines = [item.deadline for item in self._items if item.deadline is not None]
-        if deadlines:
-            flush_at = min(flush_at, min(deadlines) - self._DEADLINE_FLUSH_LEAD_S)
-        return flush_at - now
-
     # requires-lock: _cond
     def _take_batch(self) -> Tuple[List[_WorkItem], List[_WorkItem]]:
         """Split the queue into (batch to serve, expired items to shed).
 
         Deadline-bearing items sort first (earliest deadline first), so a
-        request about to expire is served ahead of patient FIFO traffic.
+        request about to expire is served ahead of patient FIFO traffic;
+        the expired ones are therefore a prefix of that order.
         """
         items = sorted(
             self._items,
             key=lambda i: (i.deadline is None, i.deadline or 0.0, i.enqueued_at),
         )
         now = time.monotonic()
-        shed = [i for i in items if i.deadline is not None and i.deadline <= now]
-        expired = set(map(id, shed))
-        alive = [i for i in items if id(i) not in expired]
-        batch = alive[: self.daemon_ref.config.max_batch_size]
-        self._items = deque(alive[self.daemon_ref.config.max_batch_size :])
-        return batch, shed
+        expired = sum(1 for i in items if i.deadline is not None and i.deadline <= now)
+        limit = expired + self.daemon_ref.config.max_batch_size
+        self._items = deque(items[limit:])
+        return items[expired:limit], items[:expired]
 
     def run(self) -> None:
         while True:
             with self._cond:
                 while not self._items and not self._stop_requested:
                     self._cond.wait()
-                if not self._items and self._stop_requested:
+                if not self._items:
                     return  # stopped and fully drained
-                if not self._stop_requested:
-                    # Batching window: wait for more work until the batch
-                    # is full, the window closes, or a deadline presses.
-                    while (
-                        len(self._items) < self.daemon_ref.config.max_batch_size
-                        and not self._stop_requested
-                    ):
-                        timeout = self._window_remaining()
-                        if timeout <= 0:
-                            break
-                        self._cond.wait(timeout)
-                # Re-check after the window wait: a no-drain stop must fail
-                # queued work even if it arrived mid-window.
                 if self._stop_requested and not self._drain:
                     leftovers, self._items = list(self._items), deque()
                 else:
@@ -747,7 +708,14 @@ class ServingDaemon:
             stream.close()
 
     def _send(self, stream: MessageStream, payload: Dict[str, Any]) -> None:
-        if stream.send(payload):
+        try:
+            sent = stream.send(payload)
+        except ValueError as error:  # NaN or Infinity: not standard JSON
+            with self._stats_lock:
+                self.stats.internal_errors += 1
+            message = f"response is not encodable: {error}"
+            sent = stream.send(error_payload(E_INTERNAL, message, payload.get("id")))
+        if sent:
             with self._stats_lock:
                 self.stats.responses += 1
 

@@ -52,7 +52,8 @@ Responses
 
 Error codes (the HTTP analogy is documented, not wire-visible):
 
-* ``bad_request`` — malformed JSON / unknown op / unknown network or device
+* ``bad_request`` — malformed JSON (``NaN`` and ``Infinity`` included: the
+  wire carries standard JSON only) / unknown op / unknown network or device
   (HTTP 400).
 * ``overloaded`` — admission control rejected the request because the
   daemon's bounded queue is full; retry after ``retry_after_ms`` (HTTP 503).
@@ -60,7 +61,8 @@ Error codes (the HTTP analogy is documented, not wire-visible):
   the queue, so it was shed instead of answered late (HTTP 504).
 * ``shutting_down`` — the daemon is draining after SIGTERM and accepts no
   new work (HTTP 503).
-* ``internal`` — unexpected server-side failure (HTTP 500).
+* ``internal`` — unexpected server-side failure, such as an answer that
+  holds NaN or Infinity and so cannot be encoded (HTTP 500).
 """
 
 from __future__ import annotations
@@ -89,8 +91,12 @@ _MAX_LINE_BYTES = 1 << 20  # one message may not exceed 1 MiB
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
-    """Serialize one message as a compact single-line JSON record."""
-    return json.dumps(message, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+    """Serialize one message as a compact single-line JSON record.
+
+    Raises ``ValueError`` on NaN or Infinity, which standard JSON cannot carry.
+    """
+    data = json.dumps(message, separators=(",", ":"), sort_keys=True, allow_nan=False)
+    return data.encode() + b"\n"
 
 
 def error_payload(
@@ -120,6 +126,10 @@ class ProtocolError(ServingError):
     """A malformed or oversized wire message."""
 
 
+def _reject_constant(name: str) -> Any:
+    raise ProtocolError(f"invalid JSON on the wire: {name} is not a JSON number")
+
+
 class MessageStream:
     """Framed JSON messages over one socket, safe for multi-threaded sends.
 
@@ -136,7 +146,10 @@ class MessageStream:
         self._closed = False  # guarded-by: _send_lock
 
     def send(self, message: Dict[str, Any]) -> bool:
-        """Send one message; returns False when the peer is gone."""
+        """Send one message; returns False when the peer is gone.
+
+        Raises ``ValueError``, having written nothing, on NaN or Infinity.
+        """
         data = encode_message(message)
         with self._send_lock:
             if self._closed:
@@ -151,8 +164,9 @@ class MessageStream:
     def recv(self) -> Optional[Dict[str, Any]]:
         """Read one message; None on clean EOF or a broken connection.
 
-        Raises :class:`ProtocolError` on non-JSON input or an oversized line
-        (the connection should be dropped by the caller).  ``socket.timeout``
+        Raises :class:`ProtocolError` on non-JSON input (``NaN`` and
+        ``Infinity`` included) or an oversized line (the connection should
+        be dropped by the caller).  ``socket.timeout``
         propagates when the socket has a timeout and it elapses; a partial
         line stays buffered, so a later call resumes it.
         """
@@ -177,7 +191,7 @@ class MessageStream:
             line, self._buffer = self._buffer.split(b"\n", 1)
             line = line.strip()
         try:
-            message = json.loads(line)
+            message = json.loads(line, parse_constant=_reject_constant)
         except json.JSONDecodeError as error:
             raise ProtocolError(f"invalid JSON on the wire: {error}") from error
         if not isinstance(message, dict):

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ScheduleError
-from repro.tir.buffer import Buffer
 from repro.tir.expr import BinaryOp, BufferLoad, Call, Expr, FloatImm, Var
 from repro.tir.schedule import (
     AnnotateStep,

@@ -10,12 +10,12 @@ the dataset samples many random schedules per task, exactly like Tenset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.tir.task import REDUCE, SPATIAL, Task
+from repro.tir.task import Task
 
 ANNOTATIONS = ("parallel", "vectorize", "unroll")
 _TILE_FACTORS = (2, 3, 4, 8, 16, 32)

@@ -8,7 +8,7 @@ yields a concrete :class:`~repro.tir.program.TensorProgram`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 

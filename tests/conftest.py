@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import PredictorConfig, TrainingConfig
 from repro.core.scale import get_scale
 from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset

@@ -17,7 +17,6 @@ from repro.cli import main
 from repro.core.config import TrainingConfig
 from repro.core.finetune import FineTuner, cross_device_adaptation, featurize_for_predictor
 from repro.core.trainer import Trainer
-from repro.dataset.splits import split_dataset
 from repro.errors import ServingError, TrainingError
 from repro.features.pipeline import featurize_records
 from repro.profiler.profiler import Profiler

@@ -39,6 +39,7 @@ EXPECTED_RULES = {
     "protocol-conformance",
     "broad-except",
     "inference-autograd",
+    "unused-import",
 }
 
 
@@ -823,6 +824,65 @@ class TestInferenceAutograd:
             """,
         )
         assert rule_ids(lint(tmp_path, rules=["inference-autograd"])) == []
+
+
+# ---------------------------------------------------------------------------
+# unused-import
+# ---------------------------------------------------------------------------
+
+
+class TestUnusedImport:
+    def test_unused_names_flag(self, tmp_path):
+        write(
+            tmp_path,
+            "repro/serving/mod.py",
+            """
+            from __future__ import annotations
+
+            import os.path
+            from typing import List, Optional
+
+            def f(x: Optional[int]) -> int:
+                return x or 0
+            """,
+        )
+        report = lint(tmp_path, rules=["unused-import"])
+        messages = [finding.message for finding in report.findings]
+        assert rule_ids(report) == ["unused-import", "unused-import"]
+        assert "'os' is imported" in messages[0] and "'List' is imported" in messages[1]
+
+    def test_used_names_pass(self, tmp_path):
+        write(
+            tmp_path,
+            "repro/serving/mod.py",
+            """
+            import numpy as np
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                from repro.core.trainer import Trainer
+
+            def f(trainer: "Trainer") -> float:
+                from scipy import stats
+
+                return float(np.mean(stats.norm.ppf([0.5])))
+            """,
+        )
+        assert rule_ids(lint(tmp_path, rules=["unused-import"])) == []
+
+    def test_reexports_and_side_effect_imports_pass(self, tmp_path):
+        write(tmp_path, "repro/pkg/__init__.py", "from repro.pkg.mod import helper\n")
+        write(
+            tmp_path,
+            "repro/pkg/mod.py",
+            """
+            from repro.pkg.impl import helper
+            import repro.analysis.rules  # noqa: F401 -- registers the rules
+
+            __all__ = ["helper"]
+            """,
+        )
+        assert rule_ids(lint(tmp_path, rules=["unused-import"])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from repro.cli import main
 from repro.core.api import CDMPP
 from repro.core.finetune import FineTuner
-from repro.core.metrics import mape
 from repro.core.scale import get_scale
 from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset

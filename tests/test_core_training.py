@@ -12,7 +12,6 @@ from repro.core.scale import available_scales, get_scale
 from repro.core.trainer import Trainer
 from repro.errors import ConfigError, FeatureError, TrainingError
 from repro.features.pipeline import featurize_records
-from repro.nn.tensor import Tensor
 
 
 class TestPredictorModel:
@@ -102,6 +101,19 @@ class TestTrainer:
         assert predictions.shape == (len(test),)
         assert np.all(predictions > 0)
         assert np.all(predictions < 1.0)  # nothing takes a full second at this scale
+
+    def test_predict_ignores_a_predictor_left_in_training_mode(
+        self, trained_trainer, t4_features
+    ):
+        _, _, test = t4_features
+        assert not any(m.training for m in trained_trainer.predictor.modules())
+        expected = trained_trainer.predict(test)
+        trainer = trained_trainer.clone()
+        assert not trainer.predictor.training  # clones (and loads) start in eval mode
+        trainer.predictor.train()
+        assert np.array_equal(trainer.predict(test), expected)
+        assert np.array_equal(trainer.latent(test), trained_trainer.latent(test))
+        assert trainer.predictor.training  # predict no longer walks the modules
 
     def test_latent_shape(self, trained_trainer, t4_features):
         _, _, test = t4_features

@@ -11,7 +11,7 @@ import pytest
 
 from repro.devices.simulator import DeviceSimulator
 from repro.devices.spec import get_device, list_devices
-from repro.ops import OP_BUILDERS, build_op
+from repro.ops import build_op
 from repro.tir.lower import lower
 from repro.tir.schedule import random_schedule
 from tests.test_ops import SAMPLE_KWARGS

@@ -7,6 +7,7 @@ and — property-style — bit-identical agreement between answers served over
 the wire and direct in-process ``FleetService`` calls.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.serving import (
 from repro.serving.protocol import (
     E_BAD_REQUEST,
     E_DEADLINE,
+    E_INTERNAL,
     E_OVERLOADED,
     encode_message,
 )
@@ -45,7 +48,7 @@ def fleet_models(trained_trainer):
 @pytest.fixture()
 def daemon(fleet_models):
     """A running daemon on an ephemeral port, stopped at teardown."""
-    daemon = ServingDaemon(fleet_models, DaemonConfig(port=0, max_wait_ms=5.0))
+    daemon = ServingDaemon(fleet_models, DaemonConfig(port=0))
     daemon.start()
     yield daemon
     daemon.stop()
@@ -58,6 +61,47 @@ def _connect(daemon: ServingDaemon) -> DaemonClient:
 
 def _raw_stream(daemon: ServingDaemon) -> MessageStream:
     return MessageStream(socket.create_connection(daemon.address, timeout=30))
+
+
+def _query(request_id, device="t4", **fields):
+    return {"op": "query", "id": request_id, "network": "bert_tiny", "device": device, **fields}
+
+
+def _wait_for(condition, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+@contextmanager
+def _gated_shard(daemon: ServingDaemon, device: str = "t4"):
+    """Hold ``device``'s shard busy inside its flush until ``release`` is set.
+
+    Yields ``(entered, release)``: ``entered`` is set once the worker is
+    blocked inside a batch, so requests sent afterwards wait in the queue.
+    """
+    shard = daemon._shards[device]
+    original = shard.fleet.predict_model_batch
+    entered, release = threading.Event(), threading.Event()
+
+    def gated(*args, **kwargs):
+        entered.set()
+        assert release.wait(30.0), "gate never released"
+        return original(*args, **kwargs)
+
+    shard.fleet.predict_model_batch = gated
+    try:
+        yield entered, release
+    finally:
+        release.set()
+        del shard.fleet.predict_model_batch
+
+
+def _stop_requested(daemon: ServingDaemon, device: str = "t4") -> bool:
+    shard = daemon._shards[device]
+    with shard._cond:
+        return shard._stop_requested
 
 
 class TestLifecycle:
@@ -137,72 +181,113 @@ class TestBitIdenticalToDirectPredict:
         assert served["latency_s"] == direct.predicted_latency_s
 
 
+class TestBatching:
+    """Work-conserving batching: serve at once, coalesce while busy."""
+
+    def test_deadline_request_is_served_first(self, fleet_models):
+        # One request per batch, so the answer order is the serving order.
+        config = DaemonConfig(port=0, max_batch_size=1)
+        with ServingDaemon(fleet_models, config) as daemon:
+            stream = _raw_stream(daemon)
+            try:
+                with _gated_shard(daemon) as (entered, release):
+                    stream.send(_query(0))
+                    assert entered.wait(10.0)
+                    for request_id in (1, 2, 3):
+                        stream.send(_query(request_id))
+                    stream.send(_query(4, deadline_ms=30_000.0))
+                    _wait_for(lambda: daemon.pending == 4)
+                    release.set()
+                    order = [stream.recv()["id"] for _ in range(5)]
+            finally:
+                stream.close()
+        assert order == [0, 4, 1, 2, 3]
+
+    @pytest.mark.parametrize("max_batch_size,batches", [(32, 2), (2, 3)])
+    def test_requests_queued_while_busy_form_the_next_batch(
+        self, fleet_models, max_batch_size, batches
+    ):
+        config = DaemonConfig(port=0, max_batch_size=max_batch_size)
+        with ServingDaemon(fleet_models, config) as daemon:
+            stream = _raw_stream(daemon)
+            try:
+                with _gated_shard(daemon) as (entered, release):
+                    stream.send(_query(0))
+                    assert entered.wait(10.0)
+                    for request_id in (1, 2, 3):
+                        stream.send(_query(request_id))
+                    _wait_for(lambda: daemon.pending == 3)
+                    release.set()
+                    responses = [stream.recv() for _ in range(4)]
+                stream.send({"op": "stats", "id": "stats"})
+                stats = stream.recv()
+            finally:
+                stream.close()
+        assert all(response["ok"] for response in responses)
+        assert sorted(response["id"] for response in responses) == [0, 1, 2, 3]
+        assert stats["daemon"]["batches"] == batches
+
+
 class TestDeadlines:
     def test_expired_deadline_is_shed(self, fleet_models):
-        # A generous batching window, so the deadline (not the window)
-        # decides when the request is looked at — by which point it expired.
-        config = DaemonConfig(port=0, max_wait_ms=500.0, max_batch_size=64)
-        with ServingDaemon(fleet_models, config) as daemon:
-            with _connect(daemon) as client:
-                with pytest.raises(DaemonRequestError) as excinfo:
-                    client.query("bert_tiny", device="t4", deadline_ms=0.0)
-                assert excinfo.value.code == E_DEADLINE
-                stats = client.stats()
+        # The shard is busy while the request's deadline passes, so it has
+        # expired by the time the worker takes it from the queue.
+        with ServingDaemon(fleet_models, DaemonConfig(port=0)) as daemon:
+            stream = _raw_stream(daemon)
+            try:
+                with _gated_shard(daemon) as (entered, release):
+                    stream.send(_query(1))
+                    assert entered.wait(10.0)
+                    stream.send(_query(2, deadline_ms=20.0))
+                    _wait_for(lambda: daemon.pending == 1)
+                    time.sleep(0.05)
+                    release.set()
+                    responses = {}
+                    for _ in range(2):
+                        response = stream.recv()
+                        responses[response["id"]] = response
+                stream.send({"op": "stats", "id": "stats"})
+                stats = stream.recv()
+            finally:
+                stream.close()
+        assert responses[1]["ok"]
+        assert not responses[2]["ok"]
+        assert responses[2]["error"]["code"] == E_DEADLINE
         assert stats["daemon"]["shed_deadline"] == 1
-
-    def test_deadline_closes_batch_window_early(self, fleet_models):
-        # Without a deadline the answer waits out the 800ms window; with a
-        # tight-but-achievable deadline it must arrive well before that.
-        config = DaemonConfig(port=0, max_wait_ms=800.0, max_batch_size=64)
-        with ServingDaemon(fleet_models, config) as daemon:
-            with _connect(daemon) as client:
-                client.query("bert_tiny", device="t4")  # warm caches/partition
-                start = time.monotonic()
-                result = client.query("bert_tiny", device="t4", deadline_ms=150.0)
-                elapsed = time.monotonic() - start
-        assert result["ok"]
-        assert elapsed < 0.75  # served at the deadline, not the window
-
-    def test_patient_request_waits_out_the_window(self, fleet_models):
-        config = DaemonConfig(port=0, max_wait_ms=300.0, max_batch_size=64)
-        with ServingDaemon(fleet_models, config) as daemon:
-            with _connect(daemon) as client:
-                start = time.monotonic()
-                result = client.query("bert_tiny", device="t4")
-                elapsed = time.monotonic() - start
-        assert result["ok"]
-        assert elapsed >= 0.28  # the window is the floor when nothing presses
 
 
 class TestBackpressure:
     def test_overloaded_rejection_with_retry_hint(self, fleet_models):
-        # queue_limit=1: the first pipelined request occupies the queue for
-        # the whole 400ms window, so the next two are rejected immediately.
-        config = DaemonConfig(
-            port=0, max_wait_ms=400.0, max_batch_size=64, queue_limit=1, retry_after_ms=25.0
-        )
+        # queue_limit=1: while the shard is busy with request 1, request 2
+        # fills the queue and requests 3 and 4 are rejected immediately.
+        config = DaemonConfig(port=0, queue_limit=1, retry_after_ms=25.0)
         with ServingDaemon(fleet_models, config) as daemon:
             stream = _raw_stream(daemon)
             try:
-                for request_id in (1, 2, 3):
-                    stream.send(
-                        {"op": "query", "id": request_id, "network": "bert_tiny", "device": "t4"}
-                    )
-                responses = {}
-                for _ in range(3):
-                    response = stream.recv()
-                    responses[response["id"]] = response
+                with _gated_shard(daemon) as (entered, release):
+                    stream.send(_query(1))
+                    assert entered.wait(10.0)
+                    for request_id in (2, 3, 4):
+                        stream.send(_query(request_id))
+                    responses = {}
+                    for _ in range(2):  # the rejections come back at once
+                        response = stream.recv()
+                        responses[response["id"]] = response
+                    release.set()
+                    for _ in range(2):
+                        response = stream.recv()
+                        responses[response["id"]] = response
             finally:
                 stream.close()
-        assert responses[1]["ok"]  # admitted, served at window close
-        for rejected_id in (2, 3):
+        assert responses[1]["ok"] and responses[2]["ok"]
+        for rejected_id in (3, 4):
             rejected = responses[rejected_id]
             assert not rejected["ok"]
             assert rejected["error"]["code"] == E_OVERLOADED
             assert rejected["retry_after_ms"] == 25.0
 
     def test_no_drops_below_admission_limit(self, fleet_models):
-        config = DaemonConfig(port=0, max_wait_ms=5.0, queue_limit=256)
+        config = DaemonConfig(port=0, queue_limit=256)
         with ServingDaemon(fleet_models, config) as daemon:
             stream = _raw_stream(daemon)
             try:
@@ -227,41 +312,43 @@ class TestBackpressure:
 
 
 class TestGracefulDrain:
-    def test_stop_with_drain_answers_queued_work(self, fleet_models):
-        # A long window queues the request; stop(drain=True) must answer it
-        # instead of dropping it, then refuse new work.
-        config = DaemonConfig(port=0, max_wait_ms=5000.0, max_batch_size=64)
-        daemon = ServingDaemon(fleet_models, config).start()
+    @staticmethod
+    def _stop_while_busy(fleet_models, drain: bool):
+        """Stop the daemon while request 1 is in a batch and 2 is queued."""
+        daemon = ServingDaemon(fleet_models, DaemonConfig(port=0)).start()
         stream = _raw_stream(daemon)
         try:
-            stream.send({"op": "query", "id": 7, "network": "bert_tiny", "device": "t4"})
-            deadline = time.monotonic() + 5.0
-            while daemon.pending == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert daemon.pending == 1
-            daemon.stop(drain=True)
-            response = stream.recv()
+            with _gated_shard(daemon) as (entered, release):
+                stream.send(_query(1))
+                assert entered.wait(10.0)
+                stream.send(_query(2))
+                _wait_for(lambda: daemon.pending == 1)
+                stopper = threading.Thread(target=daemon.stop, kwargs={"drain": drain})
+                stopper.start()
+                _wait_for(lambda: _stop_requested(daemon))
+                release.set()
+                stopper.join(timeout=30.0)
+                assert not stopper.is_alive()
+            responses = {}
+            for _ in range(2):
+                response = stream.recv()
+                responses[response["id"]] = response
         finally:
             stream.close()
-        assert response["ok"] and response["id"] == 7
-        assert response["latency_s"] > 0.0
         assert not daemon.running
+        return responses
+
+    def test_stop_with_drain_answers_queued_work(self, fleet_models):
+        responses = self._stop_while_busy(fleet_models, drain=True)
+        for request_id in (1, 2):
+            assert responses[request_id]["ok"]
+            assert responses[request_id]["latency_s"] > 0.0
 
     def test_stop_without_drain_fails_queued_work(self, fleet_models):
-        config = DaemonConfig(port=0, max_wait_ms=5000.0, max_batch_size=64)
-        daemon = ServingDaemon(fleet_models, config).start()
-        stream = _raw_stream(daemon)
-        try:
-            stream.send({"op": "query", "id": 9, "network": "bert_tiny", "device": "t4"})
-            deadline = time.monotonic() + 5.0
-            while daemon.pending == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            daemon.stop(drain=False)
-            response = stream.recv()
-        finally:
-            stream.close()
-        assert not response["ok"]
-        assert response["error"]["code"] == "shutting_down"
+        responses = self._stop_while_busy(fleet_models, drain=False)
+        assert responses[1]["ok"]  # already in a batch: answered
+        assert not responses[2]["ok"]
+        assert responses[2]["error"]["code"] == "shutting_down"
 
     def test_serve_forever_returns_after_request_shutdown(self, fleet_models):
         daemon = ServingDaemon(fleet_models, DaemonConfig(port=0)).start()
@@ -330,7 +417,7 @@ class TestConcurrentClients:
 
 class TestStatsEndpoint:
     def test_counters_reconcile(self, fleet_models):
-        with ServingDaemon(fleet_models, DaemonConfig(port=0, max_wait_ms=5.0)) as daemon:
+        with ServingDaemon(fleet_models, DaemonConfig(port=0)) as daemon:
             with _connect(daemon) as client:
                 client.health()
                 for _ in range(3):
@@ -419,6 +506,77 @@ class TestProtocolErrors:
             right.close()
 
 
+class TestNonFiniteNumbers:
+    """NaN and Infinity are not JSON: refused in both directions."""
+
+    def test_encoder_refuses_nan_and_infinity(self):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                encode_message({"ok": True, "latency_s": value})
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_decoder_rejects_constants_as_bad_request(self, fleet_models, constant):
+        with ServingDaemon(fleet_models, DaemonConfig(port=0)) as daemon:
+            sock = socket.create_connection(daemon.address, timeout=30)
+            try:
+                sock.sendall(
+                    b'{"op": "query", "id": 1, "network": "bert_tiny", "device": "t4", '
+                    b'"deadline_ms": ' + constant.encode() + b"}\n"
+                )
+                stream = MessageStream(sock)
+                response = stream.recv()
+                assert stream.recv() is None  # the connection is dropped
+            finally:
+                sock.close()
+            with _connect(daemon) as client:
+                assert client.health()["status"] == "serving"
+                stats = client.stats()
+        assert not response["ok"]
+        assert response["error"]["code"] == E_BAD_REQUEST
+        assert constant.lstrip("-") in response["error"]["message"]
+        counters = stats["daemon"]
+        assert counters["bad_requests"] == 1
+        assert counters["requests"] == 2  # health + stats; the bad line is no request
+        assert counters["queries"] == 0 and counters["pending"] == 0
+
+    def test_unencodable_answer_is_an_internal_error(self, fleet_models):
+        with ServingDaemon(fleet_models, DaemonConfig(port=0)) as daemon:
+            shard = daemon._shards["t4"]
+            original = shard.fleet.predict_model_batch
+
+            def nan_answers(*args, **kwargs):
+                return [
+                    dataclasses.replace(p, predicted_latency_s=float("nan"))
+                    for p in original(*args, **kwargs)
+                ]
+
+            stream = _raw_stream(daemon)
+            try:
+                shard.fleet.predict_model_batch = nan_answers
+                stream.send(_query(1))
+                failed = stream.recv()
+                del shard.fleet.predict_model_batch
+                # The connection and the shard worker both survive.
+                stream.send({"op": "health", "id": 2})
+                health = stream.recv()
+                stream.send(_query(3))
+                answered = stream.recv()
+                stream.send({"op": "stats", "id": 4})
+                stats = stream.recv()
+            finally:
+                stream.close()
+        assert not failed["ok"] and failed["id"] == 1
+        assert failed["error"]["code"] == E_INTERNAL
+        assert health["ok"] and health["status"] == "serving"
+        assert answered["ok"] and answered["latency_s"] > 0.0
+        counters = stats["daemon"]
+        assert counters["internal_errors"] == 1
+        assert counters["requests"] == 4
+        assert counters["queries"] == 2 and counters["health_checks"] == 1
+        assert counters["responses"] == 3  # everything before this stats answer
+        assert counters["pending"] == 0
+
+
 class TestClientTimeout:
     """A timed-out call says so, and its late answer never leaks."""
 
@@ -468,6 +626,40 @@ class TestTcpNoDelay:
             with daemon._streams_lock:
                 accepted = [stream._sock for stream in daemon._streams]
             assert accepted and all(self._nodelay(sock) for sock in accepted)
+
+
+class TestServingImports:
+    """A served model never fits a transform, so it never imports scipy.stats."""
+
+    SCRIPT = """
+import sys
+from repro.serving import DaemonClient, ModelRegistry, ServingDaemon
+
+daemon = ServingDaemon.from_registry(ModelRegistry(sys.argv[1]), "t4-tiny", devices=["t4"])
+with daemon:
+    with DaemonClient(*daemon.address) as client:
+        assert client.query("bert_tiny", device="t4")["latency_s"] > 0.0
+        client.tune("bert_tiny", rounds=1, population=4, measurements_per_round=1)
+print("scipy.stats" in sys.modules)
+"""
+
+    def test_query_and_tune_do_not_import_scipy_stats(self, trained_trainer, tmp_path):
+        from repro.serving import ModelRegistry
+
+        registry = tmp_path / "registry"
+        ModelRegistry(registry).save("t4-tiny", trained_trainer, device="t4", scale="tiny")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(registry)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestDaemonCLI:

@@ -10,11 +10,11 @@ from repro.core.predictor import CDMPPPredictor
 from repro.core.scale import get_scale
 from repro.devices.simulator import DeviceSimulator
 from repro.devices.spec import get_device
-from repro.errors import FeatureError, ScheduleError, TrainingError
+from repro.errors import FeatureError
 from repro.features.pipeline import FeatureSet, featurize_programs
 from repro.graph.dfg import build_dfg
 from repro.graph.zoo import build_model
-from repro.ops import conv2d, dense, elementwise_unary, softmax
+from repro.ops import dense, elementwise_unary, softmax
 from repro.replay.replayer import Replayer
 from repro.tir.lower import lower
 from repro.tir.schedule import Schedule

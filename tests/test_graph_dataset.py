@@ -11,7 +11,6 @@ from repro.graph.dfg import DFGNode, TIRDataFlowGraph, build_dfg
 from repro.graph.model import ModelGraph
 from repro.graph.partition import extract_tasks_from_models, extract_unique_tasks, tasks_by_model
 from repro.graph.zoo import MODEL_BUILDERS, build_model, list_models
-from repro.ops import dense
 
 
 class TestModelGraph:

@@ -26,7 +26,7 @@ from repro.nn import (
     mspe_loss,
 )
 from repro.nn.layers import make_activation
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter
 from repro.nn.optim import make_optimizer
 from repro.nn.schedulers import CosineLR, make_scheduler
 

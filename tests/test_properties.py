@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cmd import cmd_distance
 from repro.core.kmeans import KMeans
 from repro.core.metrics import mape, threshold_accuracy
-from repro.core.transforms import BoxCoxTransform, QuantileTransform
+from repro.core.transforms import BoxCoxTransform
 from repro.devices.spec import get_device, list_devices
 from repro.devices.simulator import DeviceSimulator
 from repro.features.compact_ast import COMPUTATION_VECTOR_LENGTH, extract_compact_ast
 from repro.features.positional import positional_encoding
-from repro.nn.tensor import Tensor
 from repro.ops import conv2d, dense
 from repro.tir.ast import LEAF_MARKER, build_ast, preorder_serialize
 from repro.tir.lower import lower

@@ -13,7 +13,7 @@ from repro.analysis.distribution import (
 from repro.analysis.projection import domain_overlap, pca_project, tsne_project
 from repro.devices.spec import get_device
 from repro.errors import ReplayError, ReproError, SearchError
-from repro.graph.dfg import DFGNode, TIRDataFlowGraph, build_dfg
+from repro.graph.dfg import DFGNode, TIRDataFlowGraph
 from repro.graph.zoo import build_model
 from repro.replay.e2e import measure_end_to_end, predict_end_to_end
 from repro.replay.replayer import Replayer

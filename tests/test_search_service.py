@@ -461,7 +461,7 @@ class TestDaemonTune:
     def daemon(self, trained_trainer):
         daemon = ServingDaemon(
             {"t4": trained_trainer, "k80": trained_trainer},
-            DaemonConfig(port=0, max_wait_ms=5.0),
+            DaemonConfig(port=0),
         )
         daemon.start()
         yield daemon

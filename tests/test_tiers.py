@@ -12,7 +12,6 @@ import pytest
 
 from repro.backends import DistilledBackend, backend_of_checkpoint
 from repro.errors import ServingError, TrainingError
-from repro.ops import dense
 from repro.serving import (
     DEFAULT_TIER,
     TIERS,
@@ -162,7 +161,7 @@ class TestDaemonTiers:
             )
 
     def test_tiered_round_trips(self, trained_trainer, fast_student):
-        config = DaemonConfig(port=0, max_wait_ms=5.0)
+        config = DaemonConfig(port=0)
         with ServingDaemon(
             {"t4": trained_trainer}, config, fast_models={"t4": fast_student}
         ) as daemon:
@@ -207,7 +206,7 @@ class TestDaemonTiers:
                 assert counters["accurate_tier_requests"] >= 2
 
     def test_fast_tier_without_student_is_bad_request(self, trained_trainer):
-        with ServingDaemon({"t4": trained_trainer}, DaemonConfig(port=0, max_wait_ms=5.0)) as daemon:
+        with ServingDaemon({"t4": trained_trainer}, DaemonConfig(port=0)) as daemon:
             host, port = daemon.address
             with DaemonClient(host, port) as client:
                 assert client.health()["fast_devices"] == []

@@ -8,18 +8,15 @@ from repro.ops import dense
 from repro.tir.ast import LEAF_MARKER, ast_summary, build_ast, preorder_serialize
 from repro.tir.buffer import Buffer
 from repro.tir.lower import lower
-from repro.tir.program import TensorProgram
 from repro.tir.schedule import (
     AnnotateStep,
     CacheStep,
     FuseStep,
-    ReorderStep,
     Schedule,
     SplitStep,
     random_schedule,
 )
-from repro.tir.stmt import LoopKind
-from repro.tir.task import IterVar, ReadSpec, StatementSpec, Task
+from repro.tir.task import IterVar, StatementSpec, Task
 
 
 class TestTask:
