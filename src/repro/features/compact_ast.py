@@ -19,7 +19,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -163,12 +163,15 @@ def _statement_features(
 
 
 class _TaskStatements:
-    """Statement features of one task, keyed by statement structure.
+    """Statement features of one task.
 
-    Every schedule of a task lowers to the same few statements (init,
-    anchor, epilogues, cache copies), rebuilt as fresh objects, so the key is
-    structural.  Access patterns are a property of the task, which is why an
-    instance never serves a second task.
+    Every schedule of a task lowers to the same statement objects (init,
+    anchor, epilogues, cache copies; see
+    :class:`repro.tir.lower.TaskStatements`), so a statement is first looked
+    up by identity; the entry holds the statement itself, so its ``id``
+    cannot be recycled while the entry lives.  A statement built elsewhere
+    falls back to a structural key.  Access patterns are a property of the
+    task, which is why an instance never serves a second task.
     """
 
     MAX_STATEMENTS = 64
@@ -180,15 +183,21 @@ class _TaskStatements:
             for stmt in (task.body, *task.epilogues)
             for read in stmt.reads
         }
+        self.by_identity: Dict[int, Tuple[ComputeStmt, _StatementFeatures]] = {}
         self.features: Dict[tuple, _StatementFeatures] = {}
 
     def lookup(self, stmt: ComputeStmt) -> _StatementFeatures:
+        entry = self.by_identity.get(id(stmt))
+        if entry is not None:
+            return entry[1]
         key = (stmt.label, stmt.is_init, stmt.is_reduction, stmt.buffer, stmt.indices, stmt.value)
         found = self.features.get(key)
         if found is None:
             found = _statement_features(stmt, self.pattern_by_buffer)
             if len(self.features) < self.MAX_STATEMENTS:
                 self.features[key] = found
+        if len(self.by_identity) < self.MAX_STATEMENTS:
+            self.by_identity[id(stmt)] = (stmt, found)
         return found
 
 

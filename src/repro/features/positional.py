@@ -11,6 +11,8 @@ loops it sits relative to its siblings -- is what gets encoded:
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 import numpy as np
 
 from repro.errors import FeatureError
@@ -46,6 +48,42 @@ def positional_encoding(
     return encoding
 
 
+# (dim, theta) -> read-only encoding rows for positions 0..n-1, regrown to
+# the next power of two when a program has a deeper leaf.  Process-wide like
+# any pure cache; a race only builds an equal table twice.
+_TABLES: Dict[Tuple[int, float], np.ndarray] = {}
+# Positions past this are encoded directly (a table row per AST node would
+# otherwise grow with the largest program ever seen).
+_MAX_TABLE_ROWS = 4096
+
+
+def _encoding_rows(ordering_vector: np.ndarray, dim: int, theta: float) -> np.ndarray:
+    """``positional_encoding(ordering_vector, dim, theta)``, read from a table.
+
+    Pre-order positions are small non-negative integers, so their rows are
+    computed once and indexed; each row is the very row
+    :func:`positional_encoding` computes for that position.  Any other
+    ordering vector is encoded directly.
+    """
+    positions = np.asarray(ordering_vector, dtype=np.float64).reshape(-1)
+    index = positions.astype(np.int64)
+    if (
+        not positions.size
+        or index.min() < 0
+        or index.max() >= _MAX_TABLE_ROWS
+        or not np.array_equal(index, positions)
+    ):
+        return positional_encoding(positions, dim, theta=theta)
+    table = _TABLES.get((dim, theta))
+    needed = int(index.max()) + 1
+    if table is None or table.shape[0] < needed:
+        size = max(64, 1 << (needed - 1).bit_length())
+        table = positional_encoding(np.arange(size, dtype=np.float64), dim, theta=theta)
+        table.flags.writeable = False
+        _TABLES[(dim, theta)] = table
+    return table[index]
+
+
 def add_positional_encoding(
     computation_vectors: np.ndarray,
     ordering_vector: np.ndarray,
@@ -54,5 +92,6 @@ def add_positional_encoding(
     """Add the positional encoding to the computation vectors (Fig. 1(d))."""
     if computation_vectors.ndim != 2:
         raise FeatureError("computation_vectors must be 2-D")
-    encoding = positional_encoding(ordering_vector, computation_vectors.shape[1], theta=theta)
-    return computation_vectors + encoding
+    return computation_vectors + _encoding_rows(
+        ordering_vector, computation_vectors.shape[1], float(theta)
+    )

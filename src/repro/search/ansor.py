@@ -15,7 +15,7 @@ predict instead of one model call per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.utils.rng import derive_rng, spawn_rng
 # A cost model for search: maps a list of candidate programs to scores where
 # LOWER means predicted-faster.  Must return one finite score per candidate.
 ScoreFn = Callable[[List[TensorProgram]], np.ndarray]
+# The stepper form of one task's search: yields each round's candidates,
+# is sent their scores, returns the SearchResult (see search_steps).
+SearchSteps = Generator[List[TensorProgram], object, "SearchResult"]
 
 
 @dataclass
@@ -121,22 +124,24 @@ def _search_rng(seed: Union[int, str, tuple, np.random.Generator, None]) -> np.r
     return derive_rng(seed, "evolutionary-search")
 
 
-def evolutionary_search(
+def search_steps(
     task: Task,
     device: Union[str, DeviceSpec],
-    score_fn: ScoreFn,
     num_rounds: int = 10,
     population: int = 16,
     measurements_per_round: int = 4,
     seed: Union[int, str, tuple, np.random.Generator, None] = 0,
-) -> SearchResult:
-    """Search for a fast schedule of ``task`` on ``device``.
+) -> SearchSteps:
+    """The rounds of :func:`evolutionary_search` as a stepper.
 
-    Per round: sample ``population`` random candidate schedules, score them
-    with ``score_fn`` in ONE batched call, measure the
-    ``measurements_per_round`` best-scored candidates on the simulated device
-    and keep the best latency seen so far (the quantity Fig. 14b plots
-    against the number of rounds).
+    The generator yields each round's candidate programs and must be sent
+    their scores (lower means predicted-faster); it returns the
+    :class:`SearchResult` when the last round is done.  Whoever drives it
+    decides how scoring is batched: :func:`evolutionary_search` calls one
+    ``score_fn`` per round, while :class:`repro.serving.search.SearchService`
+    advances every task of a network in lock step and scores their rounds
+    together.  The candidates, and therefore the result, depend only on
+    the seed and the scores.
     """
     if num_rounds <= 0 or population <= 0:
         raise SearchError("num_rounds and population must be positive")
@@ -161,7 +166,7 @@ def evolutionary_search(
             schedule = random_schedule(task, round_rng, target_kind=device.taxonomy)
             candidates.append((schedule, lower(task, schedule)))
         scores = _validate_scores(
-            score_fn([program for _, program in candidates]), len(candidates)
+            (yield [program for _, program in candidates]), len(candidates)
         )
         scored += len(candidates)
         scoring_batches += 1
@@ -184,6 +189,39 @@ def evolutionary_search(
         num_scored=scored,
         scoring_batches=scoring_batches,
     )
+
+
+def evolutionary_search(
+    task: Task,
+    device: Union[str, DeviceSpec],
+    score_fn: ScoreFn,
+    num_rounds: int = 10,
+    population: int = 16,
+    measurements_per_round: int = 4,
+    seed: Union[int, str, tuple, np.random.Generator, None] = 0,
+) -> SearchResult:
+    """Search for a fast schedule of ``task`` on ``device``.
+
+    Per round: sample ``population`` random candidate schedules, score them
+    with ``score_fn`` in ONE batched call, measure the
+    ``measurements_per_round`` best-scored candidates on the simulated device
+    and keep the best latency seen so far (the quantity Fig. 14b plots
+    against the number of rounds).
+    """
+    steps = search_steps(
+        task,
+        device,
+        num_rounds=num_rounds,
+        population=population,
+        measurements_per_round=measurements_per_round,
+        seed=seed,
+    )
+    programs = next(steps)
+    while True:
+        try:
+            programs = steps.send(score_fn(programs))
+        except StopIteration as stop:
+            return stop.value
 
 
 def search_model_schedules(

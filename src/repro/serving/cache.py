@@ -33,7 +33,6 @@ from typing import Any, Hashable, Iterator, Tuple, Union
 
 from repro.devices.spec import DeviceSpec
 from repro.tir.program import TensorProgram
-from repro.utils.rng import stable_hash
 
 CacheKey = Tuple[str, int, str, Hashable]
 
@@ -43,11 +42,10 @@ _MISSING = object()
 def schedule_fingerprint(program: TensorProgram) -> int:
     """A stable fingerprint of a program's schedule steps.
 
-    Schedule steps are frozen dataclasses with deterministic ``repr``, so the
-    fingerprint is reproducible across processes (unlike ``hash``, which is
-    randomized for strings).
+    Computed once per program: see
+    :attr:`repro.tir.program.TensorProgram.schedule_fingerprint`.
     """
-    return stable_hash(tuple(repr(step) for step in program.schedule.steps), bits=48)
+    return program.schedule_fingerprint
 
 
 def program_cache_key(
@@ -66,7 +64,7 @@ def program_cache_key(
     device_name = device if isinstance(device, str) else device.name
     return (
         program.task.workload_key,
-        schedule_fingerprint(program),
+        program.schedule_fingerprint,
         device_name,
         signature,
     )

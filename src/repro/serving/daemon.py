@@ -389,7 +389,7 @@ class _ShardWorker(threading.Thread):
 
     def _process(self, batch: List[_WorkItem]) -> None:
         # Tune requests run one at a time (each is a whole search, already
-        # internally batched — one vectorized predict per search round);
+        # internally batched: its tasks are scored in lock step);
         # query/predict-model items batch as before.
         tune_items = [item for item in batch if item.op == "tune"]
         batch = [item for item in batch if item.op != "tune"]
@@ -578,8 +578,14 @@ class ServingDaemon:
             self._started_at = time.monotonic()
             for worker in self._shards.values():
                 worker.start()
+            # The listener is handed over, not read under _lifecycle_lock: a
+            # stop() right after start() holds that lock while it joins this
+            # thread.
             self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="cdmpp-accept", daemon=True
+                target=self._accept_loop,
+                args=(self._listener,),
+                name="cdmpp-accept",
+                daemon=True,
             )
             self._accept_thread.start()
         return self
@@ -647,6 +653,12 @@ class ServingDaemon:
                 return
             self._accepting.clear()
             if self._listener is not None:
+                # close() alone does not wake the accept thread blocked in
+                # accept(); shutdown() does, so the join below is immediate.
+                try:
+                    self._listener.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 try:
                     self._listener.close()
                 except OSError:
@@ -669,9 +681,7 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        with self._lifecycle_lock:
-            listener = self._listener
+    def _accept_loop(self, listener: socket.socket) -> None:
         while self._accepting.is_set():
             try:
                 conn, _ = listener.accept()

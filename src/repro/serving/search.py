@@ -7,11 +7,15 @@ promotes search to a first-class serving tier, the role a learned cost model
 actually plays inside an auto-tuner (Ansor, TLP, the TPU learned performance
 model all score thousands of candidates per batched inference):
 
-* **batched scoring** — each search round's candidate population is scored
-  through the shared :class:`~repro.serving.service.PredictionService` as
-  ONE vectorized predict (submit the whole population, flush once), so
-  candidate scoring rides the same micro-batch/cache path as every other
-  query instead of one model call per candidate;
+* **lock-step scoring** — each task's search is a stepper
+  (:func:`~repro.search.ansor.search_steps`) that yields a round's
+  candidates and receives their scores.  :meth:`SearchService.tune_model`
+  advances every uncached task of a device one round at a time and scores
+  that round of all of them through the shared
+  :class:`~repro.serving.service.PredictionService`, in task-aligned slices
+  of at least :data:`SCORE_SLICE_ROWS` candidates (submit the slice, flush
+  once).  Candidate scoring rides the same batch/cache path as every other
+  query, in a few large batches instead of one small batch per task;
 * **result caching** — a finished tuning is cached per
   ``(task, device, CostModel.cache_signature, search params)`` in a
   :class:`~repro.serving.search_cache.SearchCache`, persisted in the
@@ -23,16 +27,22 @@ model all score thousands of candidates per batched inference):
   fleet evicts the swapped device's cached tunings (``cache_signature``
   alone cannot catch a fine-tuned clone with identical architecture), and
   the registry evicts by checkpoint name on re-save/delete;
-* **fleet-wide tuning** — :meth:`tune_model` lists a model's unique tasks
-  (once per zoo network and batch size) and searches each task for each
-  requested device, exactly how an operator tunes a new network for every
-  device they own.
+* **fleet-wide tuning** — :meth:`SearchService.tune_model` lists a model's
+  unique tasks (once per zoo network and batch size) and searches each
+  task for each requested device, exactly how an operator tunes a new
+  network for every device they own.
 
 Determinism contract: with the same ``seed``, tuning is bit-identical across
 runs and across warm/cold prediction caches — predictions are deterministic
 functions of (program, device, model), so cached scores equal recomputed
 ones, and each task searches under its own ``(seed, task_key)`` child stream
-(independent tasks, no Generator aliasing).
+(independent tasks, no Generator aliasing).  Lock step changes which rows
+share a predict, not which candidates are drawn or how they are ranked,
+except where two candidates of one round score within the last-bit
+difference that batch composition can make (ROADMAP item 2: BLAS sums a
+differently shaped matmul in another order).  On the goldens, in the tests
+and in the benchmark runs a lock-step ``tune_model`` equalled a per-task
+:func:`~repro.search.evolutionary_search` loop seed for seed.
 """
 
 from __future__ import annotations
@@ -42,21 +52,35 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.devices.spec import DeviceSpec, get_device
 from repro.errors import SearchError, ServingError
 from repro.graph.model import ModelGraph
 from repro.graph.partition import extract_unique_tasks
 from repro.graph.zoo import build_model
-from repro.search.ansor import SearchResult, evolutionary_search
+from repro.search.ansor import SearchResult, SearchSteps, search_steps
+# Kept as a module attribute: perfbench/traced_daemon.py wraps this name.
+from repro.search.ansor import evolutionary_search  # noqa: F401
 from repro.serving.fleet import FleetService
 from repro.serving.search_cache import SearchCache
 from repro.serving.service import PredictionService
+from repro.tir.program import TensorProgram
 from repro.tir.task import Task
 
 #: Default search budget, matching the Fig. 14b benchmark's scale.
 DEFAULT_NUM_ROUNDS = 6
 DEFAULT_POPULATION = 12
 DEFAULT_MEASUREMENTS_PER_ROUND = 3
+
+#: Rows per predict in tune_model's lock step: whole tasks are gathered
+#: until a slice holds at least this many candidates.  Measured on resnet50
+#: candidates with the tiny t4 checkpoint (2-core x86-64, BLAS on one
+#: thread), predict_rows cost 58 us per row at batch 8, 38 at batch 64 and
+#: 42 at batch 248, so 64 rows already reach the floor.  Scoring a whole
+#: 248-row round at once raised the serve-warm daemon's peak RSS from 104 to
+#: 131 MB (its quality pass runs two tunes at once); 64-row slices gave 112.
+SCORE_SLICE_ROWS = 64
 
 #: Zoo networks whose task lists :meth:`SearchService.tune_model` keeps.
 TASK_LIST_MEMO_SIZE = 32
@@ -232,82 +256,125 @@ class SearchService:
     ) -> SearchResult:
         """Search a fast schedule for one task on one device.
 
-        Candidate scoring is one batched predict per round through the
-        shared prediction service (populations up to the service's
-        ``max_batch_size`` stay a single vectorized call).  Results are
-        cached; pass ``use_cache=False`` to force a fresh search (the fresh
-        result still replaces the cached entry).
+        Each round's candidates are scored by one predict through the shared
+        prediction service (submit them all, flush once), exactly as one
+        task of :meth:`tune_model`'s lock step.  Results are cached; pass
+        ``use_cache=False`` to force a fresh search (the fresh result still
+        replaces the cached entry).
         """
-        result, _ = self._tune_task_tracked(
-            task,
-            device,
+        spec = get_device(device) if isinstance(device, str) else device
+        outcomes = self._tune(
+            {task.workload_key: (task, seed)},
+            spec,
             num_rounds=num_rounds,
             population=population,
             measurements_per_round=measurements_per_round,
-            seed=seed,
             use_cache=use_cache,
         )
-        return result
+        return outcomes[task.workload_key][0]
 
-    def _tune_task_tracked(
+    def _tune(
         self,
-        task: Task,
-        device: Union[str, DeviceSpec],
+        jobs: Mapping[str, tuple],
+        spec: DeviceSpec,
         num_rounds: int,
         population: int,
         measurements_per_round: int,
-        seed,
         use_cache: bool,
-        task_seed=None,
-    ):
-        """(result, was_cached) for one task; ``task_seed`` overrides ``seed``."""
-        spec = get_device(device) if isinstance(device, str) else device
-        model = self._kernels.model_for(spec)
-        signature = tuple(model.cache_signature)
-        # The cache key carries the seed the search actually runs under
-        # (tune_model derives (seed, task_key) per task), so a base-seed
-        # tune_task and a tune_model sweep never alias each other's entries.
-        effective_seed = task_seed if task_seed is not None else seed
-        params = {
-            "num_rounds": int(num_rounds),
-            "population": int(population),
-            "measurements_per_round": int(measurements_per_round),
-            "seed": effective_seed,
-        }
-        if use_cache:
-            cached = self.cache.get(task.workload_key, spec, signature, params)
+    ) -> Dict[str, tuple]:
+        """``{key: (result, was_cached)}`` for ``jobs`` (``key -> (task, seed)``), in job order.
+
+        Cached tasks are answered by the search cache and drop out; every
+        fresh task runs :func:`~repro.search.ansor.search_steps` under its
+        own seed, and all of them advance one round at a time in lock step
+        (see :meth:`_score_round`).  The cache key carries the seed each
+        search runs under, so a base-seed ``tune_task`` and a ``tune_model``
+        sweep (``(seed, task_key)`` per task) never alias each other's
+        entries.
+        """
+        signature = tuple(self._kernels.model_for(spec).cache_signature)
+        outcomes: Dict[str, tuple] = {}
+        params: Dict[str, dict] = {}
+        searches: Dict[str, SearchSteps] = {}
+        for key, (task, seed) in jobs.items():
+            params[key] = {
+                "num_rounds": int(num_rounds),
+                "population": int(population),
+                "measurements_per_round": int(measurements_per_round),
+                "seed": seed,
+            }
+            cached = (
+                self.cache.get(task.workload_key, spec, signature, params[key])
+                if use_cache
+                else None
+            )
             if cached is not None:
                 with self._lock:
                     self.stats.tasks_tuned += 1
                     self.stats.cache_hits += 1
-                return cached, True
+                outcomes[key] = (cached, True)
+                continue
+            searches[key] = search_steps(
+                task,
+                spec,
+                num_rounds=num_rounds,
+                population=population,
+                measurements_per_round=measurements_per_round,
+                seed=seed,
+            )
 
-        def score_fn(programs):
-            return self._kernels.predict(programs, spec)
+        rounds = {key: next(steps) for key, steps in searches.items()}
+        while rounds:
+            scores = self._score_round(rounds, spec)
+            for key in list(rounds):
+                try:
+                    rounds[key] = searches[key].send(scores[key])
+                except StopIteration as stop:
+                    del rounds[key]
+                    result: SearchResult = stop.value
+                    self.cache.put(
+                        jobs[key][0].workload_key,
+                        spec,
+                        signature,
+                        params[key],
+                        result,
+                        model_name=self._model_name_for(spec.name),
+                    )
+                    with self._lock:
+                        self.stats.tasks_tuned += 1
+                        self.stats.searches_run += 1
+                        self.stats.programs_scored += result.num_scored
+                        self.stats.measurements += result.num_measurements
+                    outcomes[key] = (result, False)
+        return {key: outcomes[key] for key in jobs}
 
-        result = evolutionary_search(
-            task,
-            spec,
-            score_fn,
-            num_rounds=num_rounds,
-            population=population,
-            measurements_per_round=measurements_per_round,
-            seed=effective_seed,
-        )
-        self.cache.put(
-            task.workload_key,
-            spec,
-            signature,
-            params,
-            result,
-            model_name=self._model_name_for(spec.name),
-        )
-        with self._lock:
-            self.stats.tasks_tuned += 1
-            self.stats.searches_run += 1
-            self.stats.programs_scored += result.num_scored
-            self.stats.measurements += result.num_measurements
-        return result, False
+    def _score_round(
+        self, rounds: Mapping[str, List[TensorProgram]], spec: DeviceSpec
+    ) -> Dict[str, np.ndarray]:
+        """Scores of one round of every task in ``rounds``.
+
+        Whole tasks are gathered into slices of at least
+        :data:`SCORE_SLICE_ROWS` candidates and each slice is one predict
+        (submit every candidate, flush once); the last slice holds what is
+        left.
+        """
+        scores: Dict[str, np.ndarray] = {}
+        keys: List[str] = []
+        programs: List[TensorProgram] = []
+        last = len(rounds) - 1
+        for index, (key, candidates) in enumerate(rounds.items()):
+            keys.append(key)
+            programs.extend(candidates)
+            if len(programs) < SCORE_SLICE_ROWS and index < last:
+                continue
+            answers = self._kernels.predict(programs, spec)
+            start = 0
+            for sliced in keys:
+                stop = start + len(rounds[sliced])
+                scores[sliced] = answers[start:stop]
+                start = stop
+            keys, programs = [], []
+        return scores
 
     def tune_model(
         self,
@@ -327,7 +394,14 @@ class SearchService:
         unique tasks are listed in the order its DFG lists them and each task
         is searched per device (schedules are sampled for the device's
         taxonomy) under its own independent ``(seed, task_key)`` stream,
-        matching :func:`repro.search.search_model_schedules`.  A zoo
+        matching :func:`repro.search.search_model_schedules`.  Per device,
+        the tasks the search cache cannot answer advance in lock step: each
+        round of all of them is scored in slices of at least
+        :data:`SCORE_SLICE_ROWS` candidates, so the cost model sees a few
+        large batches instead of one small batch per task.  Each task keeps
+        its own stream, accounting and cache entry, so its result is the
+        one a search of that task alone under the same seed finds (up to
+        the last-bit caveat in the module docstring).  A zoo
         network's task list is kept per ``(name, batch_size)`` in a bounded
         memo; a caller-built graph is enumerated afresh on every call.
 
@@ -372,18 +446,16 @@ class SearchService:
         model_name = model if isinstance(model, str) else getattr(model, "name", repr(model))
         tunings: List[ModelTuning] = []
         for spec in specs:
+            outcomes = self._tune(
+                {key: (task, (seed, key)) for key, task in tasks.items()},
+                spec,
+                num_rounds=num_rounds,
+                population=population,
+                measurements_per_round=measurements_per_round,
+                use_cache=use_cache,
+            )
             tuning = ModelTuning(model=model_name, device=spec.name)
-            for key, task in tasks.items():
-                result, was_cached = self._tune_task_tracked(
-                    task,
-                    spec,
-                    num_rounds=num_rounds,
-                    population=population,
-                    measurements_per_round=measurements_per_round,
-                    seed=seed,
-                    use_cache=use_cache,
-                    task_seed=(seed, key),
-                )
+            for key, (result, was_cached) in outcomes.items():
                 tuning.results[key] = result
                 (tuning.cached_tasks if was_cached else tuning.fresh_tasks).append(key)
             tunings.append(tuning)

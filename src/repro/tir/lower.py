@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
 from repro.tir.expr import BinaryOp, BufferLoad, Call, Expr, FloatImm, Var
@@ -135,24 +135,66 @@ def _nest(axes: Sequence[_Axis], body: Stmt) -> Stmt:
     return result
 
 
-def _cache_statements(task: Task, cache_steps: Sequence[CacheStep]) -> List[ComputeStmt]:
-    stmts: List[ComputeStmt] = []
-    reads_by_buffer = {read.buffer.name: read for read in task.body.reads}
-    for step in cache_steps:
-        read = reads_by_buffer.get(step.buffer)
+class TaskStatements:
+    """The compute statements every schedule of one task lowers to.
+
+    A schedule changes only the loops around a task's statements, so the
+    init, anchor and epilogue statements (and one copy per cached input
+    buffer and scope) are built once per task and shared by all of its
+    programs.  The Compact-AST featurizer then finds them by identity
+    instead of hashing their expression trees.  Statements are never
+    mutated after lowering, which is what makes the sharing safe.
+    """
+
+    def __init__(self, task: Task):
+        body = task.body
+        anchor_indices = tuple(Var(v) for v in body.output_vars)
+        self.init: Optional[ComputeStmt] = None
+        if body.reduction:
+            self.init = ComputeStmt(
+                buffer=body.output,
+                indices=anchor_indices,
+                value=FloatImm(float(body.init_value)),
+                is_init=True,
+                label=f"{body.name}.init",
+            )
+        self.anchor = ComputeStmt(
+            buffer=body.output,
+            indices=anchor_indices,
+            value=statement_value_expr(body),
+            is_reduction=body.reduction,
+            label=body.name,
+        )
+        self.epilogues: Tuple[ComputeStmt, ...] = tuple(
+            ComputeStmt(
+                buffer=epilogue.output,
+                indices=tuple(Var(v) for v in epilogue.output_vars),
+                value=statement_value_expr(epilogue),
+                label=epilogue.name,
+            )
+            for epilogue in task.epilogues
+        )
+        self._reads = {read.buffer.name: read for read in body.reads}
+        # (buffer, scope) -> copy statement; filled on first use.  A race
+        # builds an equal statement twice, which only costs the identity hit.
+        self._cache_reads: Dict[Tuple[str, str], ComputeStmt] = {}
+
+    def cache_read(self, step: CacheStep) -> ComputeStmt:
+        """The copy statement that stages ``step.buffer`` into ``step.scope``."""
+        found = self._cache_reads.get((step.buffer, step.scope))
+        if found is not None:
+            return found
+        read = self._reads.get(step.buffer)
         if read is None:
             raise ScheduleError(f"cache step references unknown input buffer {step.buffer!r}")
-        cached = read.buffer.with_scope(step.scope)
         index_exprs = tuple(Var(v) for v in read.index_vars)
-        stmts.append(
-            ComputeStmt(
-                buffer=cached,
-                indices=index_exprs,
-                value=BufferLoad(read.buffer, index_exprs),
-                label=f"cache_read.{read.buffer.name}",
-            )
+        stmt = ComputeStmt(
+            buffer=read.buffer.with_scope(step.scope),
+            indices=index_exprs,
+            value=BufferLoad(read.buffer, index_exprs),
+            label=f"cache_read.{read.buffer.name}",
         )
-    return stmts
+        return self._cache_reads.setdefault((step.buffer, step.scope), stmt)
 
 
 def lower(task: Task, schedule: Optional[Schedule] = None) -> "TensorProgram":
@@ -185,41 +227,16 @@ def lower(task: Task, schedule: Optional[Schedule] = None) -> "TensorProgram":
     reduce_axes = [axis for axis in axes if axis.kind == REDUCE]
 
     # Innermost body: init + reduction nest around the anchor + epilogues.
-    inner_stmts: List[Stmt] = []
-    anchor_indices = tuple(Var(v) for v in task.body.output_vars)
-    if task.body.reduction:
-        inner_stmts.append(
-            ComputeStmt(
-                buffer=task.body.output,
-                indices=anchor_indices,
-                value=FloatImm(float(task.body.init_value)),
-                is_init=True,
-                label=f"{task.body.name}.init",
-            )
-        )
-    anchor = ComputeStmt(
-        buffer=task.body.output,
-        indices=anchor_indices,
-        value=statement_value_expr(task.body),
-        is_reduction=task.body.reduction,
-        label=task.body.name,
-    )
+    statements = task.statements
+    inner_stmts: List[Stmt] = [statements.init] if statements.init is not None else []
     if task.body.reduction and reduce_axes:
-        inner_stmts.append(_nest(reduce_axes, anchor))
+        inner_stmts.append(_nest(reduce_axes, statements.anchor))
     else:
-        inner_stmts.append(anchor)
-    for epilogue in task.epilogues:
-        inner_stmts.append(
-            ComputeStmt(
-                buffer=epilogue.output,
-                indices=tuple(Var(v) for v in epilogue.output_vars),
-                value=statement_value_expr(epilogue),
-                label=epilogue.name,
-            )
-        )
+        inner_stmts.append(statements.anchor)
+    inner_stmts.extend(statements.epilogues)
     inner_body: Stmt = inner_stmts[0] if len(inner_stmts) == 1 else SeqStmt(inner_stmts)
 
-    cache_stmts = _cache_statements(task, cache_steps)
+    cache_stmts = [statements.cache_read(step) for step in cache_steps]
     if spatial_axes:
         if cache_stmts:
             # Cache copies execute once per iteration of the outermost spatial

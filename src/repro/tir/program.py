@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 from repro.tir.schedule import Schedule
 from repro.tir.stmt import ComputeStmt, ForLoop, LoopKind, SeqStmt, Stmt
 from repro.tir.task import Task
+from repro.utils.rng import stable_hash
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,17 @@ class TensorProgram:
             positions = [position + 1 for position in positions]
             counter += 1
         return LeafLayout(tuple(records), tuple(positions), counter)
+
+    @cached_property
+    def schedule_fingerprint(self) -> int:
+        """A stable 48-bit fingerprint of the schedule steps.
+
+        Schedule steps are frozen dataclasses with deterministic ``repr``, so
+        the fingerprint is reproducible across processes (unlike ``hash``,
+        which is randomized for strings).  Computed once per program: the
+        serving caches key every submit on it, hits included.
+        """
+        return stable_hash(tuple(repr(step) for step in self.schedule.steps), bits=48)
 
     @property
     def leaf_records(self) -> Tuple[LeafRecord, ...]:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.errors import TIRError
 from repro.tir.buffer import Buffer
 from repro.utils.rng import stable_hash
+
+if TYPE_CHECKING:
+    from repro.tir.lower import TaskStatements
 
 SPATIAL = "spatial"
 REDUCE = "reduce"
@@ -171,6 +174,17 @@ class Task:
         """
         key = stable_hash(self.op_type, sorted(self.params.items()), self.model, bits=48)
         return f"{self.op_type}-{key:012x}"
+
+    @cached_property
+    def statements(self) -> "TaskStatements":
+        """The compute statements every lowering of this task shares.
+
+        Built once per task, cached like :attr:`workload_key`; see
+        :class:`repro.tir.lower.TaskStatements`.
+        """
+        from repro.tir.lower import TaskStatements  # local import to avoid cycle
+
+        return TaskStatements(self)
 
     @property
     def input_buffers(self) -> Tuple[Buffer, ...]:

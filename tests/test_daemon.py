@@ -119,6 +119,18 @@ class TestLifecycle:
         assert not daemon.running
         daemon.stop()  # idempotent
 
+    @pytest.mark.parametrize("idle_s", [0.0, 0.2])
+    def test_stopping_an_idle_daemon_is_prompt(self, fleet_models, idle_s):
+        # 0 s: stop() races the accept thread's start; 0.2 s: the accept
+        # thread is blocked in accept().
+        daemon = ServingDaemon(fleet_models, DaemonConfig(port=0))
+        daemon.start()
+        time.sleep(idle_s)
+        started = time.monotonic()
+        daemon.stop()
+        assert time.monotonic() - started < 0.5
+        assert not daemon.running
+
     def test_start_twice_rejected(self, daemon):
         with pytest.raises(ServingError):
             daemon.start()

@@ -257,6 +257,23 @@ class TestPositionalEncoding:
         assert with_pe.shape == compact.computation_vectors.shape
         assert not np.allclose(with_pe, compact.computation_vectors)
 
+    @pytest.mark.parametrize("dim", [COMPUTATION_VECTOR_LENGTH, 7])
+    def test_table_rows_equal_the_direct_encoding(self, dim):
+        rng = np.random.default_rng(dim)
+        vectors = rng.normal(size=(5, dim))
+        # Small positions, positions that regrow the table, and vectors that
+        # are encoded directly (not pre-order indices, or past the table).
+        for ordering in (
+            [0, 1, 2, 5, 9],
+            [3, 70, 71, 200, 1000],
+            [0.5, 1, 2, 3, 4],
+            [-1, 0, 1, 2, 3],
+            [1, 2, 3, 4, 5000],
+        ):
+            ordering = np.asarray(ordering, dtype=np.float64)
+            direct = vectors + positional_encoding(ordering, dim)
+            assert add_positional_encoding(vectors, ordering).tobytes() == direct.tobytes()
+
 
 class TestDeviceFeatures:
     def test_shape_matches_constant(self):

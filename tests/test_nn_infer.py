@@ -210,6 +210,33 @@ class TestPredictorInfer:
         np.testing.assert_allclose(batched, whole, rtol=1e-12)
 
 
+class TestTrimmedInferWidth:
+    """``infer`` runs the encoder on 8 * ceil(max leaves / 8) positions only."""
+
+    @pytest.mark.parametrize("max_count", range(1, 17))
+    def test_trimmed_infer_bitwise_equals_full_width_forward(self, max_count):
+        from repro.core.config import PredictorConfig
+        from repro.core.predictor import CDMPPPredictor
+
+        config = PredictorConfig(max_leaves=16)
+        predictor = CDMPPPredictor(config, seed=max_count)
+        predictor.eval()
+        rng = _rng(max_count)
+        batch = 24
+        leaf_counts = rng.integers(1, max_count + 1, size=batch)
+        leaf_counts[0] = max_count
+        x = np.zeros((batch, config.max_leaves, config.feature_dim))
+        mask = np.zeros((batch, config.max_leaves))
+        for row, count in enumerate(leaf_counts):
+            x[row, :count] = rng.normal(scale=3.0, size=(count, config.feature_dim))
+            mask[row, :count] = 1.0
+        device = rng.normal(size=(batch, config.device_feature_dim))
+        with no_grad():
+            full = predictor(Tensor(x), Tensor(mask), leaf_counts, Tensor(device)).data
+        trimmed = predictor.infer(x, mask, leaf_counts, device)
+        assert trimmed.tobytes() == full.tobytes()
+
+
 class TestTensorNoCopy:
     def test_float64_array_adopted_without_copy(self):
         x = np.arange(12, dtype=np.float64).reshape(3, 4)

@@ -3,8 +3,9 @@
 Covers the full surface of the SearchService stack: the ScoreFn contract of
 the refactored evolutionary search, bit-identical seed determinism (across
 runs, across warm/cold prediction caches, and for Generator seeds), the
-one-batched-predict-per-round batching guarantee asserted via the prediction
-service's own counters, search-cache persistence and invalidation (model
+batching guarantees asserted via the prediction service's own counters (one
+predict per round for a task, task-aligned slices for tune_model's lock
+step, which equals a per-task search loop seed for seed), search-cache persistence and invalidation (model
 swaps, registry re-saves and deletes evict exactly the affected entries),
 and the daemon's ``tune`` op + ``cdmpp tune`` CLI round trip.
 """
@@ -237,6 +238,113 @@ class TestTuneModel:
         assert search.stats.searches_run == len(tuning.results) + 1
         # The per-task stream of tune_model differs from the base-seed stream.
         assert direct != tuning.results[key]
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_lock_step_equals_a_per_task_search_loop(self, trained_trainer, seed):
+        from repro.serving.search import _unique_tasks_in_topo_order
+        from repro.graph.zoo import build_model
+
+        budget = dict(num_rounds=2, population=8, measurements_per_round=2)
+        tasks = _unique_tasks_in_topo_order(build_model("resnet50"))
+        search = SearchService(PredictionService(trained_trainer), cache=SearchCache())
+        tunings = search.tune_model("resnet50", devices=["t4", "e5-2673"], seed=seed, **budget)
+        for tuning in tunings:
+            spec = get_device(tuning.device)
+            alone = PredictionService(trained_trainer)
+            expected = {
+                key: evolutionary_search(
+                    task,
+                    spec,
+                    lambda programs: alone.predict(programs, spec),
+                    seed=(seed, key),
+                    **budget,
+                )
+                for key, task in tasks.items()
+            }
+            assert list(tuning.results) == list(expected)
+            assert {k: r.to_dict() for k, r in tuning.results.items()} == {
+                k: r.to_dict() for k, r in expected.items()
+            }
+            assert all(r.scoring_batches == budget["num_rounds"] for r in tuning.results.values())
+
+    def test_lock_step_scores_in_task_aligned_slices(self, trained_trainer):
+        from repro.serving.search import SCORE_SLICE_ROWS
+
+        service = PredictionService(trained_trainer)
+        search = SearchService(service, cache=SearchCache())
+        before = service.stats.batches
+        (tuning,) = search.tune_model(
+            "resnet50", devices=["t4"], num_rounds=2, population=8, measurements_per_round=2
+        )
+        tasks = len(tuning.results)
+        per_slice = -(-SCORE_SLICE_ROWS // 8)  # whole tasks of 8 candidates
+        assert service.stats.batches - before == 2 * -(-tasks // per_slice)
+
+    def test_cached_tasks_drop_out_of_the_lock_step(self, trained_trainer):
+        budget = dict(num_rounds=2, population=4, measurements_per_round=2)
+        fleet = FleetService({"t4": trained_trainer})
+        search = SearchService(fleet, cache=SearchCache())
+        (full,) = search.tune_model("bert_tiny", devices=["t4"], seed=3, **budget)
+        keys = list(full.results)
+        # A fresh cache that holds every other task's tuning.
+        partial = SearchService(fleet, cache=SearchCache())
+        for key in keys[::2]:
+            partial.cache.put(
+                key,
+                get_device("t4"),
+                tuple(fleet.service_for_kernels().model_for("t4").cache_signature),
+                {**{k: int(v) for k, v in budget.items()}, "seed": (3, key)},
+                full.results[key],
+            )
+        (mixed,) = partial.tune_model("bert_tiny", devices=["t4"], seed=3, **budget)
+        assert list(mixed.results) == keys
+        assert mixed.cached_tasks == keys[::2]
+        assert mixed.fresh_tasks == keys[1::2]
+        assert mixed.results == full.results
+        assert partial.stats.searches_run == len(keys[1::2])
+
+    def test_lock_step_batches_rows_for_the_predictor(self, trained_trainer, monkeypatch):
+        """Traced like the perfbench tune-cold op (one round of 8 candidates
+        per resnet50 task): rows per predictor call, and CPU per row, with
+        lock-step scoring and with a per-task search loop."""
+        import time
+
+        from repro.core.trainer import Trainer
+        from repro.graph.zoo import build_model
+        from repro.serving.search import _unique_tasks_in_topo_order
+
+        calls = []
+        original = Trainer.predict
+
+        def traced(self, features, *args, **kwargs):
+            started = time.thread_time()
+            result = original(self, features, *args, **kwargs)
+            calls.append((len(features), time.thread_time() - started))
+            return result
+
+        monkeypatch.setattr(Trainer, "predict", traced)
+        budget = dict(num_rounds=1, population=8, measurements_per_round=2)
+
+        def rows_and_us_per_row():
+            rows = sum(n for n, _ in calls)
+            return rows / len(calls), 1e6 * sum(t for _, t in calls) / rows
+
+        per_task, lock_step = [], []
+        for seed in range(3):
+            calls.clear()
+            alone = PredictionService(trained_trainer)
+            for key, task in _unique_tasks_in_topo_order(build_model("resnet50")).items():
+                evolutionary_search(
+                    task, "t4", lambda p: alone.predict(p, "t4"), seed=(seed, key), **budget
+                )
+            per_task.append(rows_and_us_per_row())
+            calls.clear()
+            search = SearchService(PredictionService(trained_trainer), cache=SearchCache())
+            search.tune_model("resnet50", devices=["t4"], seed=seed, **budget)
+            lock_step.append(rows_and_us_per_row())
+        assert all(rows <= 8 for rows, _ in per_task)  # duplicates coalesce
+        assert all(rows >= 50 for rows, _ in lock_step)
+        assert min(us for _, us in lock_step) < min(us for _, us in per_task)
 
     def test_devices_default_to_fleet(self, trained_trainer):
         fleet = FleetService({"t4": trained_trainer, "k80": trained_trainer})

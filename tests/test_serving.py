@@ -81,6 +81,19 @@ class TestCacheKeys:
         assert schedule_fingerprint(p1) != schedule_fingerprint(p2)
         assert program_cache_key(p1, "t4", 16) != program_cache_key(p2, "t4", 16)
 
+    def test_cached_fingerprint_equals_the_per_submit_formula(self, dense_task):
+        from repro.utils.rng import stable_hash
+
+        for seed in range(20):
+            schedule = random_schedule(dense_task, np.random.default_rng(seed), "gpu")
+            program = lower(dense_task, schedule)
+            formula = stable_hash(tuple(repr(step) for step in schedule.steps), bits=48)
+            assert program.schedule_fingerprint == formula
+            assert schedule_fingerprint(program) == formula
+            assert program_cache_key(program, "t4", 16) == (
+                dense_task.workload_key, formula, "t4", 16
+            )
+
 
 class TestPredictionService:
     def test_batch_matches_single_program_queries(self, service, trained_trainer, query_programs):

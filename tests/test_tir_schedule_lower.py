@@ -99,6 +99,42 @@ class TestSchedulePrimitives:
         second = random_schedule(dense_task, np.random.default_rng(3), "gpu")
         assert [type(s).__name__ for s in first.steps] == [type(s).__name__ for s in second.steps]
 
+    def test_random_schedule_draws_what_rng_choice_drew(self, monkeypatch, dense_task, conv_task):
+        from repro.tir import schedule as schedule_module
+
+        def choice_sample_factors(rng, extent, max_levels=2):
+            # The draw as it was written with rng.choice.
+            levels = int(rng.integers(1, max_levels + 1))
+            factors = []
+            remaining = max(extent, 1)
+            for _ in range(levels):
+                candidates = [f for f in schedule_module._TILE_FACTORS if f <= max(remaining, 2)]
+                if not candidates:
+                    break
+                factor = int(rng.choice(candidates))
+                factors.append(factor)
+                remaining = max(remaining // factor, 1)
+            return tuple(factors) if factors else (2,)
+
+        def sample(task, seed, kind):
+            return random_schedule(task, np.random.default_rng(seed), kind).steps
+
+        cases = [(task, seed, kind) for task in (dense_task, conv_task)
+                 for seed in range(150) for kind in ("gpu", "cpu")]
+        fast = [sample(*case) for case in cases]
+        monkeypatch.setattr(schedule_module, "_sample_factors", choice_sample_factors)
+        assert [sample(*case) for case in cases] == fast
+        # Every candidate-list length the sampler can meet, drawn directly.
+        for length in range(1, len(schedule_module._TILE_FACTORS) + 1):
+            candidates = list(schedule_module._TILE_FACTORS[:length])
+            for seed in range(200):
+                chose = np.random.default_rng(seed)
+                indexed = np.random.default_rng(seed)
+                for _ in range(5):
+                    assert int(chose.choice(candidates)) == candidates[
+                        int(indexed.integers(0, len(candidates)))
+                    ]
+
 
 class TestLowering:
     def test_default_lowering_structure(self, dense_task):
@@ -146,6 +182,27 @@ class TestLowering:
     def test_fuse_mixed_kinds_raises(self, dense_task):
         with pytest.raises(ScheduleError):
             lower(dense_task, Schedule().fuse(("o", "k")))
+
+    def test_schedules_of_a_task_share_its_statements(self, dense_task):
+        from repro.tir.lower import TaskStatements
+
+        plain = lower(dense_task)
+        cached = lower(dense_task, Schedule().split("o", [8]).cache("data", "shared"))
+        again = lower(dense_task, Schedule().cache("data", "shared"))
+        plain_stmts = [leaf.stmt for leaf in plain.leaf_records]
+        for stmt in plain_stmts:
+            assert any(stmt is leaf.stmt for leaf in cached.leaf_records)
+        copies = [leaf.stmt for leaf in (*cached.leaf_records, *again.leaf_records)
+                  if leaf.stmt.label.startswith("cache_read")]
+        assert len(copies) == 2 and copies[0] is copies[1]
+        # Shared statements equal what a fresh build gives.
+        fresh = TaskStatements(dense_task)
+        shared = dense_task.statements
+        assert fresh is not shared
+        assert repr(fresh.init) == repr(shared.init)
+        assert repr(fresh.anchor) == repr(shared.anchor)
+        assert [repr(s) for s in fresh.epilogues] == [repr(s) for s in shared.epilogues]
+        assert fresh.anchor == shared.anchor
 
     def test_reorder_changes_outermost_loop(self, dense_task):
         program = lower(dense_task, Schedule().reorder(("o", "b")))
